@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.units import KB
@@ -67,6 +68,10 @@ class AcceleratorDescriptor:
             raise ConfigurationError(f"{self.name}: access_fraction must be in (0, 1]")
         if self.access_pattern is AccessPattern.STRIDED and self.stride_bytes <= 0:
             raise ConfigurationError(f"{self.name}: strided pattern needs stride_bytes")
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "AcceleratorDescriptor":
+        # Frozen with only scalar and enum fields: a copy could never differ.
+        return self
 
     # ------------------------------------------------------------------
     # Derived communication volumes for one invocation

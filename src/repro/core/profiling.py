@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping
 
-from repro.core.policies import FixedHeterogeneousPolicy
 from repro.errors import PolicyError
 from repro.soc.coherence import CoherenceMode
 from repro.utils.stats import geometric_mean
@@ -69,17 +68,6 @@ def choose_fixed_heterogeneous(
         name: choose_mode_for_accelerator(entries)
         for name, entries in by_accelerator.items()
     }
-
-
-def build_fixed_heterogeneous_policy(
-    profile: Iterable[ProfileEntry],
-    default_mode: CoherenceMode = CoherenceMode.NON_COH_DMA,
-) -> FixedHeterogeneousPolicy:
-    """Build the design-time baseline policy from profiling data."""
-    return FixedHeterogeneousPolicy(
-        mode_per_accelerator=choose_fixed_heterogeneous(profile),
-        default_mode=default_mode,
-    )
 
 
 def profile_summary(profile: Iterable[ProfileEntry]) -> Mapping[str, Mapping[str, float]]:

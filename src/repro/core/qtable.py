@@ -100,14 +100,6 @@ class QTable:
             return self._rows[self._state_index(state)][mode_index(mode)]
         return float(self._values[self._state_index(state), mode_index(mode)])
 
-    def values_for(self, state: "CoherenceState | int") -> Dict[CoherenceMode, float]:
-        """All four Q-values of ``state``."""
-        if self._vectorized:
-            row = self._rows[self._state_index(state)]
-            return {mode: row[mode_index(mode)] for mode in COHERENCE_MODES}
-        row = self._values[self._state_index(state)]
-        return {mode: float(row[mode_index(mode)]) for mode in COHERENCE_MODES}
-
     def update(
         self,
         state: "CoherenceState | int",

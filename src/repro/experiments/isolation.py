@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.accelerators.descriptor import AcceleratorDescriptor
-from repro.core.policies import FixedHeterogeneousPolicy, FixedPolicy
+from repro.core.policies import FixedPolicy
 from repro.core.profiling import ProfileEntry, choose_fixed_heterogeneous
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentSetup, build_runtime
@@ -273,14 +273,6 @@ def profile_accelerators(
             grid, outcome.payloads.values()
         )
     ]
-
-
-def build_fixed_hetero_policy(
-    setup: ExperimentSetup, runner: Optional[SweepRunner] = None
-) -> FixedHeterogeneousPolicy:
-    """Profile ``setup`` and build its design-time fixed-heterogeneous policy."""
-    profile = profile_accelerators(setup, runner=runner)
-    return FixedHeterogeneousPolicy(choose_fixed_heterogeneous(profile))
 
 
 def fixed_hetero_modes(

@@ -216,6 +216,9 @@ class SweepRunner:
         execution on the backend.  With a shard, only owned jobs execute;
         cache hits still fill in foreign jobs when available.
         """
+        # One rendering pass fingerprints the whole grid; every later
+        # fingerprint() call below reads the job's memoized digest.
+        fingerprints = spec.fingerprints()
         manifest: Optional[SweepManifest] = None
         if self.manifest_dir is not None:
             manifest = SweepManifest.open(
@@ -225,8 +228,7 @@ class SweepRunner:
         payloads: Dict[str, Dict[str, object]] = {}
         cache_hits = resumed = 0
         pending: List[Job] = []
-        for job in spec.jobs:
-            fingerprint = job.fingerprint()
+        for job, fingerprint in zip(spec.jobs, fingerprints):
             cached = self.cache.get(fingerprint) if self.cache is not None else None
             if manifest is not None and self.resume:
                 recorded = manifest.completed.get(fingerprint)

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SweepError
+from repro.store.io import canonical_text
 from repro.utils.rng import SeededRNG
 
 #: Signature every job function follows: ``fn(params, rng) -> payload`` where
@@ -110,17 +110,51 @@ def canonicalize(value: object) -> object:
     )
 
 
-def _axis_label(value: object) -> str:
-    """A short human-readable label for one axis value of a grid."""
-    label = getattr(value, "label", None)
-    if isinstance(label, str):
-        return label
-    if isinstance(value, Enum):
-        return str(value.value) if isinstance(value.value, str) else value.name
-    name = getattr(value, "name", None)
-    if isinstance(name, str):
-        return name
-    return str(value)
+def canonical_json(value: object) -> str:
+    """``value`` as canonical JSON text: compact, key-sorted :func:`canonicalize`.
+
+    The one rendering behind every job fingerprint and every scenario
+    definition digest.
+    """
+    return canonical_text(canonicalize(value))
+
+
+class CanonicalRenderer:
+    """:func:`canonical_json` for one fingerprinting pass, memoized by identity.
+
+    The jobs of a grid share parameter objects (every job of a figure sweep
+    carries the same ``setup``), so a pass over a spec renders each shared
+    object once and composes every job's text around the memoized pieces.
+    The memo maps ``id(value)`` to ``(value, text)``; holding the value keeps
+    its id from being reused by another object while the pass lasts.  The
+    pass must not mutate what it renders, and the memo dies with the
+    renderer: nothing is stored on the values themselves.
+    """
+
+    def __init__(self) -> None:
+        self._memo: Dict[int, Tuple[object, str]] = {}
+
+    def __call__(self, value: object) -> str:
+        """``canonical_json(value)``, rendered once per distinct object."""
+        entry = self._memo.get(id(value))
+        if entry is None:
+            entry = self._memo[id(value)] = (value, canonical_json(value))
+        return entry[1]
+
+    def mapping(self, value: Mapping[object, object]) -> str:
+        """``canonical_json(mapping)`` for a plain (non-dataclass) mapping.
+
+        Composes what :func:`canonicalize` builds for a mapping,
+        ``{"__mapping__": [[key, value], ...]}``, from the memoized text of
+        each key and value.  Pairs are stably sorted by the key's compact
+        text, which orders them as :func:`canonicalize`'s spaced sort key
+        does: the two texts differ only by a space after each separator.
+        """
+        pairs = sorted(
+            ((self(key), self(item)) for key, item in value.items()),
+            key=lambda pair: pair[0],
+        )
+        return '{"__mapping__":[' + ",".join(f"[{k},{v}]" for k, v in pairs) + "]}"
 
 
 # ----------------------------------------------------------------------
@@ -149,9 +183,11 @@ class Job:
                 "be pickled into worker processes"
             )
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, render: Optional[CanonicalRenderer] = None) -> str:
         """Stable identity of this job: function, parameters, and seed.
 
+        The SHA-256 of ``{"fn": dotted path, "params":
+        canonicalize(params), "seed": seed}`` as canonical JSON text.
         Parameters whose names start with an underscore are *transport-only*:
         they are delivered to the job function but excluded from the
         fingerprint.  They exist for delivery details that do not define
@@ -162,23 +198,29 @@ class Job:
         (fingerprinted) parameter, like the artifact digest that
         accompanies such a path.
 
-        Memoized: canonicalizing a large parameter graph is not free, and
-        the fingerprint is needed for the cache lookup, the cache write,
-        and the RNG derivation.
+        ``render`` is the renderer of a pass over many jobs (see
+        :meth:`SweepSpec.fingerprints`), which renders each parameter
+        object the jobs share only once; without one the parameters are
+        rendered from scratch.  Either way the text is the same, and the
+        work happens inside this call.  The result is memoized on the job
+        (it is needed for the cache lookup, the cache write, and the RNG
+        derivation), never on a parameter object.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
+            render = render if render is not None else CanonicalRenderer()
             identity = {
                 key: value
                 for key, value in dict(self.params).items()
                 if not key.startswith("_")
             }
-            document = {
-                "fn": f"{self.fn.__module__}.{self.fn.__qualname__}",
-                "params": canonicalize(identity),
-                "seed": self.seed,
-            }
-            text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+            fn_path = f"{self.fn.__module__}.{self.fn.__qualname__}"
+            # The document's keys are already in sorted order.
+            text = (
+                '{"fn":' + canonical_text(fn_path)
+                + ',"params":' + render.mapping(identity)
+                + ',"seed":' + canonical_text(self.seed) + "}"
+            )
             cached = hashlib.sha256(text.encode("utf-8")).hexdigest()
             object.__setattr__(self, "_fingerprint", cached)
         return cached
@@ -193,7 +235,10 @@ class Job:
         The fn receives a deep copy of the params, so a fn that mutates its
         inputs (training a policy, say) behaves identically whether the job
         runs in-process or was pickled into a worker, and a spec can be run
-        repeatedly with identical results.
+        repeatedly with identical results.  Frozen, deeply immutable
+        configs (``SoCConfig``, ``TimingConfig``, ``AcceleratorDescriptor``)
+        return themselves from ``__deepcopy__``, so the copy duplicates
+        only what a job can mutate.
         """
         return self.fn(copy.deepcopy(dict(self.params)), self.derive_rng())
 
@@ -224,27 +269,12 @@ class SweepSpec:
         (rng if rng is not None else SeededRNG(0)).shuffle(jobs)
         return SweepSpec(name=self.name, jobs=jobs)
 
-    @classmethod
-    def from_grid(
-        cls,
-        name: str,
-        fn: JobFunction,
-        axes: Mapping[str, Sequence[object]],
-        common_params: Optional[Mapping[str, object]] = None,
-        seed: int = 0,
-    ) -> "SweepSpec":
-        """Build a spec from the cartesian product of ``axes``.
+    def fingerprints(self) -> List[str]:
+        """Every job's fingerprint, in grid order, from one rendering pass.
 
-        Every combination becomes one job whose params are ``common_params``
-        plus the axis values, keyed ``"label0/label1/..."`` in axis order.
+        One :class:`CanonicalRenderer` serves the whole pass, so a parameter
+        object shared by many jobs is rendered once per spec instead of
+        once per job.
         """
-        if not axes:
-            raise SweepError(f"sweep {name}: at least one axis is required")
-        axis_names = list(axes)
-        jobs: List[Job] = []
-        for combo in itertools.product(*(axes[axis] for axis in axis_names)):
-            params: Dict[str, object] = dict(common_params or {})
-            params.update(zip(axis_names, combo))
-            key = "/".join(_axis_label(value) for value in combo)
-            jobs.append(Job(key=key, fn=fn, params=params, seed=seed))
-        return cls(name=name, jobs=jobs)
+        render = CanonicalRenderer()
+        return [job.fingerprint(render) for job in self.jobs]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.perf.bench import BENCHMARK_NAMES, BenchmarkResult, run_benchmarks
@@ -43,7 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         type=Path,
         default=DEFAULT_REPORT_PATH,
-        help=f"report path (default: {DEFAULT_REPORT_PATH})",
+        help=(
+            f"report path (default: {DEFAULT_REPORT_PATH}); an existing report is "
+            "only replaced by a run at its scale covering all of its benchmarks"
+        ),
     )
     run.add_argument(
         "--before",
@@ -82,7 +85,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_to_replace(path: Path, scale: str, names: Sequence[str]) -> None:
+    """Raise unless a run of ``names`` at ``scale`` may overwrite ``path``.
+
+    An existing report is replaced only by a run at its own scale that
+    covers every benchmark it holds, so a quick or partial run can never
+    clobber a baseline by accident; ``--out`` writes elsewhere.
+    """
+    if not path.exists():
+        return
+    existing = load_report(path)
+    if existing.get("scale") != scale:
+        raise ConfigurationError(
+            f"refusing to overwrite {path}: it holds a {existing.get('scale')}-scale "
+            f"report and this run is {scale}-scale (use --out to write elsewhere)"
+        )
+    omitted = sorted(set(existing["benchmarks"]) - set(names))
+    if omitted:
+        raise ConfigurationError(
+            f"refusing to overwrite {path}: this run omits {', '.join(omitted)}, "
+            "which it holds (use --out to write elsewhere)"
+        )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    scale = "quick" if args.quick else "default"
+    _refuse_to_replace(args.out, scale, args.only or BENCHMARK_NAMES)
     before = load_report(args.before) if args.before else None
 
     def progress(name: str, result: BenchmarkResult) -> None:
@@ -91,7 +119,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{result.work:>10} {result.unit} ({result.rate:,.1f}/s)"
         )
 
-    scale = "quick" if args.quick else "default"
     print(f"repro.perf run (scale={scale})")
     results = run_benchmarks(names=args.only, quick=args.quick, progress=progress)
     report = make_report(results, scale=scale, before=before)

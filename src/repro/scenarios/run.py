@@ -13,7 +13,6 @@ processes and cache hits survive interpreter restarts.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -25,7 +24,7 @@ from repro.experiments.common import (
     make_standard_policies,
 )
 from repro.experiments.sweep import Job, SweepRunner, SweepSpec, run_spec
-from repro.experiments.sweep.sweep import canonicalize
+from repro.experiments.sweep.sweep import canonical_json
 from repro.scenarios.scenario import Scenario
 from repro.utils.stats import geometric_mean
 from repro.utils.tables import format_table
@@ -84,7 +83,7 @@ def scenario_definition_digest(scenario: Scenario, seed: Optional[int] = None) -
     """
     setup = scenario.build_setup(seed=seed)
     training_app, test_app = scenario.applications(setup, seed=seed)
-    document = canonicalize(
+    text = canonical_json(
         {
             "config": setup.soc_config,
             "accelerators": list(setup.accelerators),
@@ -92,7 +91,6 @@ def scenario_definition_digest(scenario: Scenario, seed: Optional[int] = None) -
             "test_app": test_app,
         }
     )
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

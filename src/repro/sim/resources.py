@@ -113,11 +113,6 @@ class BandwidthResource:
             return finish + extra_latency
         return finish
 
-    def peek(self, now: float, nbytes: float) -> float:
-        """Return the completion time a request *would* get, without booking it."""
-        start = max(float(now), self.next_free)
-        return start + self.service_time(nbytes) - self.latency + self.latency
-
     def utilization(self, elapsed_cycles: float) -> float:
         """Return the fraction of ``elapsed_cycles`` this resource was busy."""
         if elapsed_cycles <= 0:

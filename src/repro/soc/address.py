@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import BIG_PAGE_BYTES, align_up
@@ -66,10 +66,6 @@ class Buffer:
         for segment in self.segments:
             footprint[segment.mem_tile] = footprint.get(segment.mem_tile, 0) + segment.size
         return footprint
-
-    def iter_segments(self) -> Iterator[BufferSegment]:
-        """Iterate over the buffer's segments in address order."""
-        return iter(self.segments)
 
     def footprint_within(self, nbytes: int) -> Dict[int, int]:
         """Return ``{mem_tile: bytes}`` for the first ``nbytes`` of the buffer.

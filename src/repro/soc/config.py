@@ -105,6 +105,10 @@ class TimingConfig:
         if self.noc_bytes_per_cycle <= 0 or self.dram_bytes_per_cycle <= 0:
             raise ConfigurationError("bandwidth parameters must be positive")
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "TimingConfig":
+        # Frozen with only float fields: a copy could never differ.
+        return self
+
 
 @dataclass(frozen=True)
 class SoCConfig:
@@ -160,6 +164,11 @@ class SoCConfig:
                     f"accelerators_without_cache"
                 )
         self.timing.validate()
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "SoCConfig":
+        # Frozen with only immutable fields (scalars, a tuple of ints, a
+        # TimingConfig), so a deep copy could never differ: share it.
+        return self
 
     # ------------------------------------------------------------------
     @property

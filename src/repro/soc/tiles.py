@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.soc.config import SoCConfig
@@ -62,85 +62,67 @@ def build_floorplan(config: SoCConfig) -> Tuple[List[Tile], Dict[str, Tile]]:
     """
     rows, cols = config.noc_rows, config.noc_cols
     all_positions = [TileCoordinate(r, c) for r in range(rows) for c in range(cols)]
-    taken: Dict[TileCoordinate, str] = {}
+    taken: Set[TileCoordinate] = set()
+    # A row-major cursor over the free positions.  It tests a position only
+    # when it reaches it, and a position, once taken, stays taken, so
+    # everything behind the cursor is taken: one forward walk places every
+    # tile that does not go to a corner.
+    free = (position for position in all_positions if position not in taken)
     tiles: List[Tile] = []
 
-    def claim(position: TileCoordinate, name: str) -> TileCoordinate:
-        if position in taken:
-            raise ConfigurationError(
-                f"floorplan conflict at {position}: {taken[position]} vs {name}"
-            )
-        taken[position] = name
+    def claim(position: Optional[TileCoordinate], kind: str) -> TileCoordinate:
+        if position is None:
+            raise ConfigurationError(f"ran out of mesh slots for {kind} tiles")
+        taken.add(position)
         return position
 
-    def next_free() -> Optional[TileCoordinate]:
-        for position in all_positions:
-            if position not in taken:
-                return position
-        return None
-
-    # Memory tiles at the corners first.
+    # Memory tiles at the corners first (distinct, so each is still free).
     corner_slots = _corner_positions(rows, cols)
     for index in range(config.num_mem_tiles):
-        name = f"mem{index}"
-        if index < len(corner_slots) and corner_slots[index] not in taken:
-            position = claim(corner_slots[index], name)
-        else:
-            slot = next_free()
-            if slot is None:
-                raise ConfigurationError("ran out of mesh slots for memory tiles")
-            position = claim(slot, name)
-        tiles.append(Tile(name=name, tile_type=TileType.MEMORY, index=index, position=position))
-
-    # Processor tiles along the remaining top-edge slots.
-    for index in range(config.num_cpus):
-        name = f"cpu{index}"
-        slot = None
-        for position in all_positions:
-            if position.row == 0 and position not in taken:
-                slot = position
-                break
-        if slot is None:
-            slot = next_free()
-        if slot is None:
-            raise ConfigurationError("ran out of mesh slots for processor tiles")
-        position = claim(slot, name)
+        slot = corner_slots[index] if index < len(corner_slots) else next(free, None)
         tiles.append(
             Tile(
-                name=name,
+                name=f"mem{index}",
+                tile_type=TileType.MEMORY,
+                index=index,
+                position=claim(slot, "memory"),
+            )
+        )
+
+    # Processor tiles along the remaining top-edge slots: the first free
+    # slots in row-major order are the top edge's, while it has any.
+    for index in range(config.num_cpus):
+        tiles.append(
+            Tile(
+                name=f"cpu{index}",
                 tile_type=TileType.CPU,
                 index=index,
-                position=position,
+                position=claim(next(free, None), "processor"),
                 has_private_cache=True,
             )
         )
 
     # Accelerator tiles fill the rest.
     for index in range(config.num_accelerator_tiles):
-        name = f"acc{index}"
-        slot = next_free()
-        if slot is None:
-            raise ConfigurationError("ran out of mesh slots for accelerator tiles")
-        position = claim(slot, name)
         tiles.append(
             Tile(
-                name=name,
+                name=f"acc{index}",
                 tile_type=TileType.ACCELERATOR,
                 index=index,
-                position=position,
+                position=claim(next(free, None), "accelerator"),
                 has_private_cache=config.accelerator_has_cache(index),
             )
         )
 
     # One auxiliary tile if room remains (UART / interrupt controller).
-    slot = next_free()
+    slot = next(free, None)
     if slot is not None:
         tiles.append(
             Tile(
                 name="aux0",
                 tile_type=TileType.AUXILIARY,
                 index=0,
-                position=claim(slot, "aux0"),
+                position=claim(slot, "auxiliary"),
             )
         )
 

@@ -29,6 +29,11 @@ from repro.errors import DocumentError
 from repro.utils.fileio import read_json_document
 
 
+#: Renders exactly as ``json.dumps(payload, sort_keys=True,
+#: separators=(",", ":"))``, without building an encoder per call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_text(payload: object) -> str:
     """Canonical JSON rendering: sorted keys, fixed separators.
 
@@ -36,7 +41,7 @@ def canonical_text(payload: object) -> str:
     non-JSON payload) propagate unchanged so callers can wrap them in
     their own domain error with a contextual message.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def canonical_digest(payload: object) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -79,10 +79,6 @@ class SeededRNG:
     def gauss(self, mu: float, sigma: float) -> float:
         """Return a normally-distributed float."""
         return self._random.gauss(mu, sigma)
-
-    def pick_subset(self, options: Iterable[T], probability: float) -> list:
-        """Return the subset of ``options`` where each element is kept i.i.d."""
-        return [item for item in options if self._random.random() < probability]
 
     def maybe(self, probability: float) -> bool:
         """Return ``True`` with the given probability."""

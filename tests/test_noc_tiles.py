@@ -3,11 +3,59 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.soc.config import soc_preset
+from repro.soc.config import SoCConfig, soc_preset
 from repro.soc.noc import MeshNoC, TileCoordinate
-from repro.soc.tiles import TileType, build_floorplan
+from repro.soc.tiles import TileType, _corner_positions, build_floorplan
+from repro.units import KB
+
+
+def _rescanning_floorplan(config: SoCConfig) -> dict:
+    """Oracle: place each tile by rescanning the mesh from the start."""
+    positions = [
+        TileCoordinate(r, c) for r in range(config.noc_rows) for c in range(config.noc_cols)
+    ]
+    placed: dict = {}
+
+    def first_free(candidates):
+        return next((p for p in candidates if p not in placed.values()), None)
+
+    corners = _corner_positions(config.noc_rows, config.noc_cols)
+    for index in range(config.num_mem_tiles):
+        corner = corners[index] if index < len(corners) else None
+        free_corner = corner is not None and corner not in placed.values()
+        placed[f"mem{index}"] = corner if free_corner else first_free(positions)
+    top_edge = [p for p in positions if p.row == 0]
+    for index in range(config.num_cpus):
+        placed[f"cpu{index}"] = first_free(top_edge) or first_free(positions)
+    for index in range(config.num_accelerator_tiles):
+        placed[f"acc{index}"] = first_free(positions)
+    aux = first_free(positions)
+    if aux is not None:
+        placed["aux0"] = aux
+    return placed
+
+
+@st.composite
+def _meshes(draw) -> SoCConfig:
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(-(-3 // rows), 7))  # room for one tile of each kind
+    mem = draw(st.integers(1, rows * cols - 2))
+    cpus = draw(st.integers(1, rows * cols - mem - 1))
+    accs = draw(st.integers(1, rows * cols - mem - cpus))
+    return SoCConfig(
+        name="Mesh",
+        num_accelerator_tiles=accs,
+        noc_rows=rows,
+        noc_cols=cols,
+        num_cpus=cpus,
+        num_mem_tiles=mem,
+        llc_partition_bytes=128 * KB,
+        l2_bytes=16 * KB,
+    )
 
 
 class TestTileCoordinate:
@@ -95,6 +143,11 @@ class TestFloorplan:
         _, by_name = build_floorplan(config)
         assert not by_name["acc12"].has_private_cache
         assert by_name["acc0"].has_private_cache
+
+    @given(_meshes())
+    def test_one_pass_placement_matches_rescanning_oracle(self, config):
+        tiles, _ = build_floorplan(config)
+        assert {tile.name: tile.position for tile in tiles} == _rescanning_floorplan(config)
 
     def test_all_presets_floorplan_without_conflict(self):
         for name in ("SoC0", "SoC1", "SoC2", "SoC3", "SoC4", "SoC5", "SoC6"):

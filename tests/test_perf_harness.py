@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import copy
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.perf import (
     run_benchmarks,
     write_report,
 )
+from repro.perf import cli
+from repro.perf.bench import BenchmarkResult
 from repro.perf.cli import main
 from repro.perf.compare import render_findings
 from repro.perf.report import speedup_summary
@@ -279,3 +283,61 @@ class TestCli:
                 ["run", "--quick", "--only", "engine_events", "--out", str(out)]
             ) == 0
         assert load_report(out)["core_backend"] == "reference"
+
+
+COMMITTED_RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+def _stub_benchmarks(names=None, quick=False, progress=None):
+    """Stand-in for run_benchmarks: instant results for the selected names."""
+    return [
+        BenchmarkResult(name=name, wall_s=1.0, work=1, unit="units", checksum="0" * 16)
+        for name in BENCHMARK_NAMES
+        if not names or name in names
+    ]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the benchmarks ran although the report was protected")
+
+
+class TestRunOverwriteGuard:
+    """``run`` never replaces a report with one of another scale or fewer benchmarks."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--quick"], ["--only", "serving"], ["--quick", "--only", "fig9_headline"]],
+    )
+    def test_refuses_before_running(self, tmp_path, capsys, monkeypatch, flags):
+        report = tmp_path / "BENCH_core_hotpaths.json"
+        shutil.copyfile(COMMITTED_RESULTS / "BENCH_core_hotpaths.json", report)
+        committed = report.read_bytes()
+        monkeypatch.setattr(cli, "run_benchmarks", _must_not_run)
+        assert main(["run", *flags, "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(report) in lines[0]
+        assert report.read_bytes() == committed
+
+    @pytest.mark.parametrize(
+        "committed, flags",
+        [
+            ("BENCH_core_hotpaths.json", []),
+            ("BENCH_core_hotpaths_quick.json", ["--quick"]),
+            ("BENCH_serving.json", ["--only", "serving"]),
+        ],
+    )
+    def test_a_run_covering_the_report_may_replace_it(
+        self, tmp_path, monkeypatch, committed, flags
+    ):
+        report = tmp_path / committed
+        shutil.copyfile(COMMITTED_RESULTS / committed, report)
+        held = set(load_report(report)["benchmarks"])
+        monkeypatch.setattr(cli, "run_benchmarks", _stub_benchmarks)
+        assert main(["run", *flags, "--out", str(report)]) == 0
+        replaced = load_report(report)
+        # A full run adds the benchmarks the report lacked (serving).
+        assert held <= set(replaced["benchmarks"])
+        assert {entry["checksum"] for entry in replaced["benchmarks"].values()} == {"0" * 16}
