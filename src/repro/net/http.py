@@ -9,11 +9,12 @@ provide the route table (:meth:`JsonHttpServer.dispatch`) and the
 health document (:meth:`JsonHttpServer.healthz_document`); everything
 that frames bytes on the socket lives here, once.
 
-Framing errors (malformed request line, bad ``Content-Length``,
-oversized head or body) are answered with the service's typed envelope
-and then the connection is dropped — the stream position is
-unrecoverable.  Which envelope vocabulary applies is chosen by the
-subclass through the ``wire_error`` constructor argument (an
+Framing errors (malformed request line, a ``Content-Length`` that is not
+ASCII digits or that is repeated with a different value, oversized head
+or body) are answered with the service's typed envelope and then the
+connection is dropped — the stream position is unrecoverable.  Which
+envelope vocabulary applies is chosen by the subclass through the
+``wire_error`` constructor argument (an
 :class:`~repro.net.envelope.EnvelopeError` subclass), so the wire
 behavior of each service is exactly what its protocol module declares.
 """
@@ -167,19 +168,24 @@ class JsonHttpServer:
             if not line:
                 continue
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # Two differing lengths leave the body's end ambiguous.
+                raise self.wire_error(
+                    "invalid-request",
+                    "conflicting Content-Length headers "
+                    f"{headers[name]!r} and {value!r}",
+                )
+            headers[name] = value
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
+        # Digits only: int() would also take a sign, underscores and
+        # non-ASCII digits.
+        if not (length_text.isascii() and length_text.isdigit()):
             raise self.wire_error(
                 "invalid-request", f"invalid Content-Length {length_text!r}"
-            ) from None
-        if length < 0:
-            raise self.wire_error(
-                "invalid-request", f"invalid Content-Length {length}"
             )
+        length = int(length_text)
         if length > self.max_body_bytes:
             raise self.wire_error(
                 "payload-too-large",

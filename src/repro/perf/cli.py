@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.perf.bench import BENCHMARK_NAMES, BenchmarkResult, run_benchmarks
@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_REPORT_PATH,
         help=(
             f"report path (default: {DEFAULT_REPORT_PATH}); an existing report is "
-            "only replaced by a run at its scale covering all of its benchmarks"
+            "only replaced by a run at its scale covering all of its benchmarks, "
+            "and its 'slo' block is kept"
         ),
     )
     run.add_argument(
@@ -85,15 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_to_replace(path: Path, scale: str, names: Sequence[str]) -> None:
-    """Raise unless a run of ``names`` at ``scale`` may overwrite ``path``.
+def _replaceable_report(
+    path: Path, scale: str, names: Sequence[str]
+) -> Optional[Dict[str, object]]:
+    """The report at ``path`` (``None`` if absent), if a run may overwrite it.
 
     An existing report is replaced only by a run at its own scale that
     covers every benchmark it holds, so a quick or partial run can never
-    clobber a baseline by accident; ``--out`` writes elsewhere.
+    clobber a baseline by accident; ``--out`` writes elsewhere.  Raises
+    otherwise.
     """
     if not path.exists():
-        return
+        return None
     existing = load_report(path)
     if existing.get("scale") != scale:
         raise ConfigurationError(
@@ -106,11 +110,12 @@ def _refuse_to_replace(path: Path, scale: str, names: Sequence[str]) -> None:
             f"refusing to overwrite {path}: this run omits {', '.join(omitted)}, "
             "which it holds (use --out to write elsewhere)"
         )
+    return existing
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scale = "quick" if args.quick else "default"
-    _refuse_to_replace(args.out, scale, args.only or BENCHMARK_NAMES)
+    existing = _replaceable_report(args.out, scale, args.only or BENCHMARK_NAMES)
     before = load_report(args.before) if args.before else None
 
     def progress(name: str, result: BenchmarkResult) -> None:
@@ -122,6 +127,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"repro.perf run (scale={scale})")
     results = run_benchmarks(names=args.only, quick=args.quick, progress=progress)
     report = make_report(results, scale=scale, before=before)
+    if existing is not None and "slo" in existing:
+        # The hand-maintained SLO gate rides along with the measurements.
+        report["slo"] = existing["slo"]
     write_report(report, args.out)
     print(f"wrote {args.out}")
     speedups = report.get("speedup_vs_before")

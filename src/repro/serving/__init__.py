@@ -4,9 +4,10 @@ The serving stack turns a registered trained-policy artifact
 (:mod:`repro.models`) into a long-running decision service:
 
 * :mod:`repro.serving.service` — the transport-agnostic core:
-  atomic hot-reloadable model snapshots, batched decisions through
-  :meth:`~repro.core.qtable.QTable.best_modes`, bounded what-if scenario
-  evaluations, and the stats/histogram machinery;
+  atomic hot-reloadable model snapshots, each with a decision table built
+  once by :meth:`~repro.core.qtable.QTable.best_modes` and indexed by
+  every single or batched decision, bounded what-if scenario evaluations,
+  and the stats/histogram machinery;
 * :mod:`repro.serving.http` — the asyncio HTTP/1.1 transport (stdlib
   only, no framework);
 * :mod:`repro.serving.protocol` — wire formats, state parsing, and the

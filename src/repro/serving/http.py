@@ -10,7 +10,7 @@ table and the serving-specific lifecycle.
 Concurrency model:
 
 * **Decisions, health, stats, reloads** run inline on the event loop —
-  they are sub-millisecond dictionary/numpy work, and running every
+  decisions, health and stats are sub-millisecond lookups, and running every
   reload check on the loop serialises them against each other and against
   decision handling without any locking.
 * **What-if simulations** are the one genuinely slow request class; they

@@ -7,10 +7,10 @@ directly.  Three design points carry the serving contract:
 * **Atomic model swaps.**  The currently served model lives in one
   :class:`ServedModel` value bound to a single attribute.  Handlers read
   that attribute exactly once per request, so every response is computed
-  against one consistent ``(artifact, policy, digest, generation)`` tuple
-  even while a hot reload replaces the attribute concurrently — a torn
-  response (decisions from one table, digest from another) is impossible
-  by construction.
+  against one consistent ``(artifact, policy, decision table, digest,
+  generation)`` tuple even while a hot reload replaces the attribute
+  concurrently — a torn response (decisions from one table, digest from
+  another) is impossible by construction.
 
 * **Digest-gated hot reload.**  :meth:`PolicyService.check_reload` watches
   the registry file's ``(mtime_ns, size)`` signature; on change it
@@ -76,7 +76,10 @@ class ServedModel:
 
     Handlers grab the service's current snapshot once and use only it, so
     the ``digest``/``generation`` they stamp into the response always
-    describe the exact Q-table that produced the decisions.
+    describe the exact Q-table that produced the decisions.  The snapshot
+    carries the table's greedy decision for every state, computed once
+    when it is loaded; a frozen served table never changes, so answering
+    a request is an index into that tuple.
     """
 
     #: Registry name the snapshot was loaded under.
@@ -85,12 +88,16 @@ class ServedModel:
     artifact: PolicyArtifact
     #: The frozen policy rebuilt from the artifact.
     policy: CohmeleonPolicy
-    #: The policy's Q-table (the decision hot path).
+    #: The policy's Q-table (the source of :attr:`decisions`).
     qtable: QTable
     #: SHA-256 payload digest (provenance stamp of every response).
     digest: str
     #: Monotonic reload counter: 0 at startup, +1 per digest change.
     generation: int
+    #: Greedy mode label of every state, in state-index order: one
+    #: :meth:`~repro.core.qtable.QTable.best_modes` over the whole table
+    #: (the decision hot path).
+    decisions: Tuple[str, ...]
 
 
 class LatencyHistogram:
@@ -247,13 +254,17 @@ class PolicyService:
         """Load, digest-verify, and freeze one model snapshot."""
         artifact = self.registry.load_retry(self.model_name)
         policy = artifact.build_policy()
+        qtable = policy.agent.qtable
         return ServedModel(
             name=self.model_name,
             artifact=artifact,
             policy=policy,
-            qtable=policy.agent.qtable,
+            qtable=qtable,
             digest=artifact.digest,
             generation=generation,
+            decisions=tuple(
+                mode.label for mode in qtable.best_modes(range(qtable.num_states))
+            ),
         )
 
     def check_reload(self) -> bool:
@@ -320,15 +331,26 @@ class PolicyService:
     def decide(self, document: object) -> Dict[str, object]:
         """Answer a single or batched decision request.
 
-        The whole batch is dispatched through one
-        :meth:`~repro.core.qtable.QTable.best_modes` call against one
-        model snapshot, so the response's decisions and digest are
-        consistent by construction and bit-identical to an offline
-        evaluation of the same table.
+        Every state of the batch is looked up in the decision table of
+        one model snapshot (:attr:`ServedModel.decisions`, built by
+        :meth:`~repro.core.qtable.QTable.best_modes` when the snapshot was
+        loaded), so the response's decisions and digest are consistent by
+        construction and bit-identical to an offline evaluation of the
+        same table.  A state index the served table does not cover is an
+        ``invalid-request``.
         """
         model = self._model
         indices, single = parse_decide_request(document, self.max_batch)
-        labels = [mode.label for mode in model.qtable.best_modes(indices)]
+        table = model.decisions
+        try:
+            labels = [table[index] for index in indices]
+        except IndexError:
+            # Only an artifact with a table smaller than the state space
+            # gets here; name its first uncovered state, as best_modes does.
+            index = next(index for index in indices if index >= len(table))
+            raise RequestError(
+                "invalid-request", f"state index {index} out of range"
+            ) from None
         response = self._provenance(model)
         response.update({"decisions": labels, "count": len(labels)})
         if single:

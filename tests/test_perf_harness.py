@@ -341,3 +341,27 @@ class TestRunOverwriteGuard:
         # A full run adds the benchmarks the report lacked (serving).
         assert held <= set(replaced["benchmarks"])
         assert {entry["checksum"] for entry in replaced["benchmarks"].values()} == {"0" * 16}
+
+    @pytest.mark.parametrize(
+        "committed, flags",
+        [
+            ("BENCH_serving.json", ["--only", "serving"]),
+            ("BENCH_serving_quick.json", ["--quick", "--only", "serving"]),
+        ],
+    )
+    def test_replacing_a_report_keeps_its_slo_block(
+        self, tmp_path, monkeypatch, committed, flags
+    ):
+        from repro.serving.loadtest import slo_for_scale
+
+        report = tmp_path / committed
+        shutil.copyfile(COMMITTED_RESULTS / committed, report)
+        slo = load_report(report)["slo"]
+        monkeypatch.setattr(cli, "run_benchmarks", _stub_benchmarks)
+        assert main(["run", *flags, "--out", str(report)]) == 0
+        replaced = load_report(report)
+        assert replaced["benchmarks"]["serving"]["checksum"] == "0" * 16
+        # Compared as text, so 250.0 may not turn into 250.
+        assert json.dumps(replaced["slo"]) == json.dumps(slo)
+        for scale in ("quick", "default"):
+            assert slo_for_scale(replaced, scale) == slo[scale]

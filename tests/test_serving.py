@@ -13,13 +13,22 @@ via ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 
 import pytest
 
-from serving_harness import make_artifact, make_registry, make_server, make_service
+from serving_harness import (
+    decide_request,
+    make_artifact,
+    make_registry,
+    make_server,
+    make_service,
+    raw_exchange,
+)
 
 from repro import __version__
+from repro.core.qtable import QTable
 from repro.core.state import NUM_STATES, CoherenceState
 from repro.serving import ERROR_STATUS, PROTOCOL_VERSION, ServingClient
 from repro.serving.protocol import (
@@ -29,7 +38,7 @@ from repro.serving.protocol import (
     parse_decide_request,
     parse_state,
 )
-from repro.soc.coherence import CoherenceMode
+from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
 from repro.utils.backend import CORE_BACKENDS, core_backend
 
 
@@ -273,6 +282,132 @@ class TestDecisions:
             assert document["decisions"] == ["full-coh"] * NUM_STATES
 
         with_server(test, registry=registry)
+
+
+# ----------------------------------------------------------------------
+# The per-snapshot decision table
+# ----------------------------------------------------------------------
+def _tied_table() -> QTable:
+    """Every state ties exactly between two modes after the first."""
+    table = QTable()
+    for state in range(NUM_STATES):
+        pair = (
+            (CoherenceMode.LLC_COH_DMA, CoherenceMode.FULL_COH)
+            if state % 2
+            else (CoherenceMode.COH_DMA, CoherenceMode.FULL_COH)
+        )
+        for mode in pair:
+            table.update(state, mode, 0.5, 1.0)
+    return table
+
+
+#: Raw reply bytes to ``{"state": 41}`` from ``make_artifact()``, recorded
+#: before decisions were served from a table.  The artifact digest and
+#: ``repro_version`` embed the library version, so a version bump
+#: re-records them.
+GOLDEN_SINGLE_REPLY = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 216\r\nConnection: close\r\n\r\n"
+    b'{"count": 1, "decision": "coh-dma", "decisions": ["coh-dma"], '
+    b'"digest": "2d6e4f9a152420b35e3d25c662e93a4b28fb244fd97f7a0c5e2a3e80762cd6f7", '
+    b'"generation": 0, "model": "served", "protocol": 1, "repro_version": "1.0.0"}'
+)
+
+#: The 64 states of the golden batch request, and its reply's SHA-256 and
+#: length, recorded alongside :data:`GOLDEN_SINGLE_REPLY`.
+GOLDEN_BATCH_STATES = [(37 * i + 5) % NUM_STATES for i in range(64)]
+GOLDEN_BATCH_SHA256 = "6fed6ba51625326e2017990447b9054e573f3e3127f802a72c2ae2316a5f8848"
+GOLDEN_BATCH_BYTES = 1172
+
+
+class TestDecisionTable:
+    """Decisions come from a table built once per loaded snapshot."""
+
+    @pytest.mark.parametrize(
+        "qtable, expected",
+        [
+            (None, None),
+            # Every state ties: the first mode of the canonical order wins.
+            (QTable(), (COHERENCE_MODES[0].label,) * NUM_STATES),
+            (
+                _tied_table(),
+                tuple("llc-coh-dma" if s % 2 else "coh-dma" for s in range(NUM_STATES)),
+            ),
+        ],
+        ids=["trained", "untrained", "tied-later-modes"],
+    )
+    def test_table_equals_offline_best_modes(self, tmp_path, qtable, expected):
+        artifact = make_artifact(qtable=qtable)
+        service = make_service(make_registry(tmp_path / "models", artifact))
+        offline = artifact.build_policy().agent.qtable.best_modes(range(NUM_STATES))
+        assert service.model.decisions == tuple(mode.label for mode in offline)
+        if expected is not None:
+            assert service.model.decisions == expected
+
+    def test_decide_makes_no_best_modes_call(self, tmp_path, monkeypatch):
+        registry = make_registry(tmp_path / "models")
+        qtable = registry.load("served").build_policy().agent.qtable
+        states = [0, 17, 242, 5, 17, 100]
+        expected = [mode.label for mode in qtable.best_modes(states)]
+        service = make_service(registry)
+
+        def forbidden(self, states):
+            raise AssertionError("decide() ran QTable.best_modes")
+
+        monkeypatch.setattr(QTable, "best_modes", forbidden)
+        assert service.decide({"states": states})["decisions"] == expected
+        assert service.decide({"state": 242})["decision"] == expected[2]
+
+    def test_reply_bytes_match_the_golden_recording(self, tmp_path):
+        async def test(server, client, service):
+            single = await raw_exchange(server.port, decide_request(b'{"state": 41}'))
+            batch = await raw_exchange(
+                server.port,
+                decide_request(json.dumps({"states": GOLDEN_BATCH_STATES}).encode()),
+            )
+            return single, batch
+
+        single, batch = with_server(test, tmp_path=tmp_path)
+        assert single == GOLDEN_SINGLE_REPLY
+        assert len(batch) == GOLDEN_BATCH_BYTES
+        assert hashlib.sha256(batch).hexdigest() == GOLDEN_BATCH_SHA256
+
+    def test_reload_serves_the_new_table_and_digest(self, tmp_path):
+        first = make_artifact(bias_mode=CoherenceMode.LLC_COH_DMA)
+        second = make_artifact(bias_mode=CoherenceMode.COH_DMA)
+        registry = make_registry(tmp_path / "models", first)
+        service = make_service(registry)
+        assert service.decide({"states": [0, 242]})["decisions"] == ["llc-coh-dma"] * 2
+        registry.save(second, replace=True)
+        assert service.check_reload() is True
+        response = service.decide({"states": [0, 242]})
+        assert response["decisions"] == ["coh-dma"] * 2
+        assert response["digest"] == second.digest
+        assert response["generation"] == 1
+        assert service.model.decisions == ("coh-dma",) * NUM_STATES
+
+    def test_state_outside_a_smaller_table_is_an_invalid_request(self, tmp_path):
+        registry = make_registry(
+            tmp_path / "models", make_artifact(seed=3, qtable=QTable(num_states=150))
+        )
+
+        async def test(server, client, service):
+            reply = await raw_exchange(
+                server.port, decide_request(b'{"states": [3, 150, 200]}')
+            )
+            status, covered = await client.decide([149])
+            return reply, status, covered, service.stats.snapshot()["errors"]
+
+        reply, status, covered, errors = with_server(test, registry=registry)
+        # The envelope recorded before decisions were served from a table.
+        assert reply == (
+            b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 96\r\nConnection: close\r\n\r\n"
+            b'{"error": {"message": "state index 150 out of range", '
+            b'"status": 400, "type": "invalid-request"}}'
+        )
+        assert status == 200 and covered["decisions"] == ["non-coh-dma"]
+        assert errors == {"invalid-request": 1}
 
 
 # ----------------------------------------------------------------------
