@@ -17,7 +17,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.sweep import ResultCache, SweepRunner, autodetect_workers
+from repro.experiments.sweep import (
+    ResultCache,
+    RunConfig,
+    SweepRunner,
+    autodetect_workers,
+)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -57,7 +62,7 @@ def sweep_runner() -> SweepRunner:
     """
     cache_dir = os.environ.get("REPRO_BENCH_CACHE")
     cache = ResultCache(cache_dir) if cache_dir else None
-    return SweepRunner(workers=bench_workers(), cache=cache)
+    return SweepRunner(config=RunConfig(workers=bench_workers(), cache=cache))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -10,15 +10,8 @@ update rule is the one the paper gives::
 decision whose reward arrives before the next decision for that
 accelerator, so the problem is treated as a contextual bandit).
 
-The table ships in the two core backends of
-:mod:`repro.utils.backend`:  the ``reference`` backend stores and updates
-the dense ``(state, mode)`` value/count matrices directly; the
-``vectorized`` backend keeps the same dense matrices as the canonical
-persisted form but routes the per-decision hot path through plain-float
-row mirrors (numpy scalar indexing costs more than the arithmetic at this
-table size) and re-materialises the matrices lazily.  Both backends
-produce bit-identical values, serialisations, and tie-break RNG draws;
-``tests/test_core_differential.py`` holds them to that.
+Values and update counts live in two dense ``(state, mode)`` numpy
+matrices, which are also the persisted form (:meth:`QTable.to_dict`).
 
 Batched operations (:meth:`QTable.update_batch`,
 :meth:`QTable.best_modes`) apply updates **in arrival order** with the
@@ -38,38 +31,19 @@ import numpy as np
 from repro.core.state import NUM_STATES, CoherenceState
 from repro.errors import PolicyError
 from repro.soc.coherence import COHERENCE_MODES, CoherenceMode, mode_index
-from repro.utils.backend import active_backend, normalize_backend
 from repro.utils.rng import SeededRNG
 
 
 class QTable:
     """Q-values for every (state, coherence mode) pair."""
 
-    def __init__(
-        self,
-        num_states: int = NUM_STATES,
-        initial_value: float = 0.0,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, num_states: int = NUM_STATES, initial_value: float = 0.0) -> None:
         if num_states <= 0:
             raise PolicyError("the Q-table needs at least one state")
         self.num_states = num_states
         self.num_actions = len(COHERENCE_MODES)
-        self.backend = active_backend() if backend is None else normalize_backend(backend)
-        self._vectorized = self.backend == "vectorized"
         self._values = np.full((num_states, self.num_actions), float(initial_value))
         self._updates = np.zeros((num_states, self.num_actions), dtype=np.int64)
-        if self._vectorized:
-            value = float(initial_value)
-            self._rows: List[List[float]] = [
-                [value] * self.num_actions for _ in range(num_states)
-            ]
-            self._count_rows: List[List[int]] = [
-                [0] * self.num_actions for _ in range(num_states)
-            ]
-        # Whether the dense matrices lag behind the row mirrors (vectorized
-        # backend only; the reference backend mutates the matrices directly).
-        self._stale = False
 
     # ------------------------------------------------------------------
     def _state_index(self, state: "CoherenceState | int") -> int:
@@ -78,26 +52,13 @@ class QTable:
             raise PolicyError(f"state index {index} out of range")
         return index
 
-    def _sync(self) -> None:
-        """Re-materialise the dense matrices from the row mirrors."""
-        if self._stale:
-            self._values = np.array(self._rows, dtype=float)
-            self._updates = np.array(self._count_rows, dtype=np.int64)
-            self._stale = False
-
-    def _load_matrices(self, values: np.ndarray, updates: np.ndarray) -> None:
-        """Adopt validated matrices (the deserialisation path)."""
-        self._values = values
-        self._updates = updates
-        if self._vectorized:
-            self._rows = [list(map(float, row)) for row in values]
-            self._count_rows = [[int(count) for count in row] for row in updates]
-        self._stale = False
+    @staticmethod
+    def _check_alpha(alpha: float) -> None:
+        if not 0.0 <= alpha <= 1.0:
+            raise PolicyError(f"learning rate must be in [0, 1], got {alpha}")
 
     def value(self, state: "CoherenceState | int", mode: CoherenceMode) -> float:
         """Q-value of taking ``mode`` from ``state``."""
-        if self._vectorized:
-            return self._rows[self._state_index(state)][mode_index(mode)]
         return float(self._values[self._state_index(state), mode_index(mode)])
 
     def update(
@@ -108,17 +69,9 @@ class QTable:
         alpha: float,
     ) -> float:
         """Apply the paper's exponential-averaging update; return the new value."""
-        if not 0.0 <= alpha <= 1.0:
-            raise PolicyError(f"learning rate must be in [0, 1], got {alpha}")
+        self._check_alpha(alpha)
         s = self._state_index(state)
         a = mode_index(mode)
-        if self._vectorized:
-            row = self._rows[s]
-            new_value = (1.0 - alpha) * row[a] + alpha * float(reward)
-            row[a] = new_value
-            self._count_rows[s][a] += 1
-            self._stale = True
-            return new_value
         new_value = (1.0 - alpha) * self._values[s, a] + alpha * float(reward)
         self._values[s, a] = new_value
         self._updates[s, a] += 1
@@ -138,32 +91,24 @@ class QTable:
         is replayed with the exact scalar recurrence of :meth:`update` —
         never folded into a reordered summation, which would change the
         floating-point results — so a batched training loop is
-        bit-identical to the per-step one on both backends.
+        bit-identical to the per-step one.  The whole batch is checked
+        before any of it is applied, so a rejected batch leaves the table
+        unchanged.
         """
         if not len(states) == len(modes) == len(rewards) == len(alphas):
             raise PolicyError(
                 "update_batch requires states, modes, rewards, and alphas "
                 "of equal length"
             )
-        if not self._vectorized:
-            for state, mode, reward, alpha in zip(states, modes, rewards, alphas):
-                self.update(state, mode, reward, alpha)
-            return
-        # Hot path: validate and resolve indices first, then replay the
-        # recurrence over the row mirrors without per-step dispatch.
-        pairs = []
-        for state, mode, alpha in zip(states, modes, alphas):
-            if not 0.0 <= alpha <= 1.0:
-                raise PolicyError(f"learning rate must be in [0, 1], got {alpha}")
-            pairs.append((self._state_index(state), mode_index(mode)))
-        rows = self._rows
-        count_rows = self._count_rows
-        for (s, a), reward, alpha in zip(pairs, rewards, alphas):
-            row = rows[s]
-            row[a] = (1.0 - alpha) * row[a] + alpha * float(reward)
-            count_rows[s][a] += 1
-        if pairs:
-            self._stale = True
+        steps = []
+        for state, mode, reward, alpha in zip(states, modes, rewards, alphas):
+            self._check_alpha(alpha)
+            steps.append((self._state_index(state), mode_index(mode), float(reward), alpha))
+        values = self._values
+        updates = self._updates
+        for s, a, reward, alpha in steps:
+            values[s, a] = (1.0 - alpha) * values[s, a] + alpha * reward
+            updates[s, a] += 1
 
     def best_mode(
         self,
@@ -181,20 +126,8 @@ class QTable:
         if allowed is not None and len(allowed) == 0:
             raise PolicyError("no coherence modes available to choose from")
         candidates: Sequence[CoherenceMode] = allowed if allowed else COHERENCE_MODES
-        if self._vectorized:
-            row = self._rows[self._state_index(state)]
-            if candidates is COHERENCE_MODES:
-                # The row mirror is stored in canonical mode order, so the
-                # unrestricted case needs no per-candidate index lookups.
-                values: Sequence[float] = row
-            else:
-                values = [row[mode_index(mode)] for mode in candidates]
-        else:
-            np_row = self._values[self._state_index(state)]
-            # One index lookup per candidate (the canonical-index table),
-            # then plain-float comparisons — this runs once per simulated
-            # decision.
-            values = [float(np_row[mode_index(mode)]) for mode in candidates]
+        row = self._values[self._state_index(state)].tolist()
+        values = [row[mode_index(mode)] for mode in candidates]
         best_value = max(values)
         # Exact equality only: an absolute threshold is scale-dependent —
         # it merges genuinely distinct values once they sit below it, and
@@ -212,17 +145,14 @@ class QTable:
         """Greedy mode for each of ``states`` (deterministic, no tie RNG).
 
         The batch counterpart of ``best_mode(state, rng=None)``: ties
-        resolve to the first mode of the canonical ordering.  On the
-        vectorized backend this is a dense argmax over the value matrix
-        (``numpy.argmax`` returns the first maximal index, which matches
-        the scalar tie rule exactly because comparisons are exact float
-        equality on both paths).
+        resolve to the first mode of the canonical ordering.  This is a
+        dense argmax over the value matrix (``numpy.argmax`` returns the
+        first maximal index, which matches the scalar tie rule exactly
+        because comparisons are exact float equality on both paths).
         """
         if not states:
             return []
         indices = [self._state_index(state) for state in states]
-        if self._vectorized:
-            self._sync()
         winners = np.argmax(self._values[indices], axis=1)
         return [COHERENCE_MODES[int(winner)] for winner in winners]
 
@@ -232,17 +162,14 @@ class QTable:
     @property
     def values(self) -> np.ndarray:
         """A copy of the full Q-value matrix."""
-        self._sync()
         return self._values.copy()
 
     def update_counts(self) -> np.ndarray:
         """Number of updates applied to every entry."""
-        self._sync()
         return self._updates.copy()
 
     def visited_states(self) -> List[int]:
         """Indices of states that have received at least one update."""
-        self._sync()
         return [int(index) for index in np.flatnonzero(self._updates.sum(axis=1))]
 
     def coverage(self) -> float:
@@ -251,7 +178,6 @@ class QTable:
 
     def to_dict(self) -> Dict[str, object]:
         """Serialise the table (e.g. to persist a trained model)."""
-        self._sync()
         return {
             "num_states": self.num_states,
             "values": self._values.tolist(),
@@ -282,8 +208,10 @@ class QTable:
         except (TypeError, ValueError) as exc:
             raise PolicyError(f"serialised Q-table num_states is invalid: {exc}") from exc
         table = cls(num_states=num_states)
+        # np.array copies even an ndarray payload, so the table never
+        # writes into its caller's arrays.
         try:
-            values = np.asarray(payload["values"], dtype=float)
+            values = np.array(payload["values"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise PolicyError(f"serialised Q-table values are not numeric: {exc}") from exc
         if values.shape != table._values.shape:
@@ -306,20 +234,16 @@ class QTable:
             raise PolicyError("serialised Q-table update counts are not numeric")
         if not np.isfinite(np.asarray(updates_raw, dtype=float)).all():
             raise PolicyError("serialised Q-table update counts are non-finite")
-        updates = np.asarray(updates_raw, dtype=np.int64)
+        updates = np.array(updates_raw, dtype=np.int64)
         if (np.asarray(updates_raw, dtype=float) != updates).any():
             raise PolicyError("serialised Q-table update counts are not integers")
         if (updates < 0).any():
             raise PolicyError("serialised Q-table update counts are negative")
-        table._load_matrices(values, updates)
+        table._values = values
+        table._updates = updates
         return table
 
     def reset(self, initial_value: float = 0.0) -> None:
         """Reset all entries (the paper initialises the table to zero)."""
-        value = float(initial_value)
-        self._values.fill(value)
+        self._values.fill(float(initial_value))
         self._updates.fill(0)
-        if self._vectorized:
-            self._rows = [[value] * self.num_actions for _ in range(self.num_states)]
-            self._count_rows = [[0] * self.num_actions for _ in range(self.num_states)]
-        self._stale = False

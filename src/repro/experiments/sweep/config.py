@@ -9,9 +9,8 @@ front ends and :class:`~repro.experiments.sweep.pool.SweepRunner`
 individually, and each front end exposed a slightly different subset of
 flags.  Now there is exactly one source of truth, used three ways:
 
-* ``SweepRunner(config=RunConfig(...))`` — the programmatic API (the old
-  keyword form is accepted-but-deprecated via one adapter in
-  :mod:`repro.experiments.sweep.pool`);
+* ``SweepRunner(config=RunConfig(...))`` — the programmatic API, and the
+  only way to configure a runner;
 * :func:`add_runner_arguments` — registers the shared CLI flag set
   (``--workers/--cache-dir/--no-cache/--backend/--manifest-dir/--resume/
   --shard/--jobs-per-lease``) on any argparse parser, so

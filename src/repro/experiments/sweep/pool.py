@@ -43,11 +43,6 @@ from repro.experiments.sweep.manifest import SweepManifest, payload_digest
 from repro.experiments.sweep.shard import ShardIncompleteError, ShardSpec
 from repro.experiments.sweep.sweep import Job, SweepSpec
 
-#: Sentinel distinguishing "not passed" from every legal kwarg value in
-#: the deprecated keyword form of :class:`SweepRunner`.
-_UNSET = object()
-
-
 @dataclass
 class SweepResult:
     """Payloads of one sweep run, in grid order, plus execution statistics."""
@@ -116,54 +111,13 @@ class SweepRunner:
                                      manifest_dir=manifest_dir))
 
     See :class:`~repro.experiments.sweep.config.RunConfig` for the
-    meaning of each field.  The pre-``RunConfig`` keyword form
-    (``SweepRunner(workers=, cache=, backend=, manifest_dir=, resume=,
-    shard=, jobs_per_lease=)``) is still accepted but deprecated: the
-    keywords are adapted into a ``RunConfig`` and a
-    :class:`DeprecationWarning` is emitted.  Mixing ``config=`` with
-    legacy keywords is an error.  The configuration remains readable
-    through the ``workers``/``cache``/``backend``/``manifest_dir``/
-    ``resume``/``shard``/``jobs_per_lease`` properties.
+    meaning of each field.  The configuration stays readable through the
+    ``workers``/``cache``/``backend``/``manifest_dir``/``resume``/
+    ``shard``/``jobs_per_lease`` properties.
     """
 
-    def __init__(
-        self,
-        config: Optional[RunConfig] = None,
-        workers: Optional[int] = _UNSET,  # type: ignore[assignment]
-        cache: Optional[ResultCache] = _UNSET,  # type: ignore[assignment]
-        backend: Union[str, ExecutionBackend, None] = _UNSET,  # type: ignore[assignment]
-        manifest_dir: Union[str, os.PathLike, None] = _UNSET,  # type: ignore[assignment]
-        resume: bool = _UNSET,  # type: ignore[assignment]
-        shard: Optional[ShardSpec] = _UNSET,  # type: ignore[assignment]
-        jobs_per_lease: Optional[int] = _UNSET,  # type: ignore[assignment]
-    ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("workers", workers),
-                ("cache", cache),
-                ("backend", backend),
-                ("manifest_dir", manifest_dir),
-                ("resume", resume),
-                ("shard", shard),
-                ("jobs_per_lease", jobs_per_lease),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise SweepError(
-                    "pass either SweepRunner(config=RunConfig(...)) or the "
-                    "deprecated keyword arguments, not both"
-                )
-            warn(
-                "SweepRunner(workers=, cache=, backend=, ...) is deprecated; "
-                "pass SweepRunner(config=RunConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = RunConfig(**legacy)
-        elif config is None:
+    def __init__(self, config: Optional[RunConfig] = None) -> None:
+        if config is None:
             config = RunConfig()
         if not isinstance(config, RunConfig):
             raise SweepError(

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigurationError, DocumentError
 from repro.perf.bench import BenchmarkResult
 from repro.store.readers import BENCH_SCHEMA, load_bench_report
-from repro.utils.backend import active_backend
 from repro.utils.host import host_metadata
 
 #: Report format identifier (bump on breaking schema changes); defined
@@ -41,7 +40,6 @@ def make_report(
         "scale": scale,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "core_backend": active_backend(),
         "host": host_metadata(),
         "benchmarks": {result.name: result.to_dict() for result in results},
     }

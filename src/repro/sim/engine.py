@@ -9,7 +9,9 @@ back to the engine together with either:
 The engine keeps a priority queue of ``(time, sequence, process)`` entries
 and always advances the process with the earliest resume time.  When a
 generator returns (raises ``StopIteration``) its process is marked finished
-and an optional completion callback fires.
+and an optional completion callback fires.  Events that share a timestamp
+run in the order they were queued, so a process that re-arms with
+``yield 0`` runs after every event already queued for that time.
 
 This is intentionally much smaller than simpy: the SoC model only needs
 time-ordered interleaving of invocation processes, because contention on
@@ -21,17 +23,6 @@ single hottest call site of the whole library (see ``repro.perf``): the
 loop keeps the heap primitives and queue in locals, and
 :class:`Process` uses ``__slots__`` to keep per-event attribute access
 cheap.
-
-The engine ships in the two core backends of :mod:`repro.utils.backend`
-(selected at construction): the ``reference`` backend pops one event per
-loop iteration, while the ``vectorized`` backend drains event *cohorts* —
-after advancing the clock once it steps every queued event carrying
-exactly that timestamp before re-checking ``until`` and the clock.
-Cohort members still leave the heap one ``heappop`` at a time, so
-same-time events retain their sequence order (the PR 1 tie-order
-contract) and zero-delay re-arms join the live cohort exactly as they
-would in the reference loop; the differential tests assert both loops
-produce identical schedules.
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ import itertools
 from typing import Callable, Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.utils.backend import active_backend
 
 #: Type alias for the generator objects the engine runs.
 ProcessGenerator = Generator[object, float, None]
@@ -116,8 +106,6 @@ class Engine:
         self._sequence = itertools.count()
         self._processes: List[Process] = []
         self._events_processed = 0
-        self.backend = active_backend()
-        self._vectorized = self.backend == "vectorized"
 
     # ------------------------------------------------------------------
     # Process management
@@ -157,8 +145,6 @@ class Engine:
         events — a silent partial run would be indistinguishable from a
         completed one (see ``docs/architecture.md``).
         """
-        if self._vectorized:
-            return self._run_cohorts(until, max_events)
         queue = self._queue
         heappop = heapq.heappop
         heappush = heapq.heappush
@@ -192,59 +178,6 @@ class Engine:
                     )
                 events_this_run += 1
                 step(entry[2], entry[3])
-        finally:
-            self._events_processed += events_this_run
-        return self.now
-
-    def _run_cohorts(self, until: Optional[float], max_events: int) -> float:
-        """The vectorized run loop: drain same-timestamp cohorts.
-
-        Checks ``until``, advances the clock, and validates event time once
-        per *timestamp* instead of once per event, then steps every queued
-        event at that timestamp.  Cohort members are still removed with
-        individual ``heappop`` calls, so the ``(time, sequence)`` order —
-        including zero-delay re-arms that join the cohort mid-drain — is
-        exactly the reference loop's order.
-        """
-        queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        step = self._step
-        events_this_run = 0
-        try:
-            while queue:
-                entry = heappop(queue)
-                time = entry[0]
-                if until is not None and time > until:
-                    # Put the event back — with its original sequence number,
-                    # so same-time events keep their order across a
-                    # pause/resume.
-                    heappush(queue, entry)
-                    self.now = until
-                    return self.now
-                if time > self.now:
-                    self.now = time
-                elif time < self.now - 1e-9:
-                    raise SimulationError(
-                        f"event time {time} precedes current time {self.now}"
-                    )
-                # Drain the cohort: this entry plus every event queued at
-                # exactly `time`, including ones pushed by the cohort's own
-                # steps.  Members are at the already-admitted timestamp, so
-                # the until/clock checks above need not repeat per event.
-                while True:
-                    if events_this_run >= max_events:
-                        heappush(queue, entry)
-                        raise SimulationError(
-                            f"event budget of {max_events} exhausted at "
-                            f"t={self.now} with {len(queue)} events still "
-                            "pending; likely a livelock"
-                        )
-                    events_this_run += 1
-                    step(entry[2], entry[3])
-                    if not queue or queue[0][0] != time:
-                        break
-                    entry = heappop(queue)
         finally:
             self._events_processed += events_this_run
         return self.now

@@ -20,34 +20,24 @@ locals, a resident-line counter keeps empty-cache operations O(1), and
 ``flush_range`` walks whichever is smaller — the address range or the
 cache contents — so flushing a huge buffer through a small cache costs
 O(resident lines), not O(buffer size).  ``repro.perf`` benchmarks these
-paths and ``tests/test_perf_equivalence.py`` checks them against a naive
-reference implementation.
+paths and ``tests/test_perf_equivalence.py`` checks them against a
+deliberately naive per-line oracle.
 
-The cache additionally ships in the two core backends of
-:mod:`repro.utils.backend` (captured at construction).  The ``reference``
-backend keeps per-set ``OrderedDict`` recency lists and the canonical
-per-line walk (membership test, dirty read, dirty write,
-``move_to_end``).  The ``vectorized`` backend stores each set as a plain
-``dict`` — insertion order *is* the recency order — so a hit is a single
-``pop``-and-reinsert pair (re-adding an entry lands it in MRU position,
-which is exactly what ``move_to_end`` does, and ``None`` is a safe miss
-sentinel because stored values are always booleans), an eviction pops
-``next(iter(set))`` (the LRU entry), and the walks replace the per-line
-address multiply/modulo with an incrementing address and a rotating set
-index.  Plain-dict mutation is markedly cheaper than ``OrderedDict``'s
-linked-list upkeep on the eviction-heavy paths the DMA transfers
-exercise.  The differential harness holds the two backends to identical
-results, statistics, and eviction orders.
+Each set is a plain ``dict`` mapping line address to dirty bit, and
+insertion order *is* the recency order (the first entry is the LRU
+line).  A hit is a single ``pop``-and-reinsert pair: re-adding an entry
+lands it in MRU position, and ``None`` is a safe miss sentinel because
+stored values are always booleans.  An eviction pops ``next(iter(set))``,
+and the range walks replace the per-line address multiply/modulo with an
+incrementing address and a rotating set index.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.utils.backend import active_backend
 
 #: Sentinel bounds of an empty cache (no address can satisfy lo <= a <= hi).
 _EMPTY_LO = 1 << 62
@@ -157,17 +147,11 @@ class SetAssociativeCache:
         self.line_bytes = line_bytes
         self.ways = ways
         self.num_sets = max(num_lines // ways, 1)
-        self.backend = active_backend()
-        self._vectorized = self.backend == "vectorized"
         self.stats = CacheStats()
-        # One mapping per set: {line_address: dirty}.  The first entry is
-        # the least recently used line.  The vectorized backend relies on
-        # plain-dict insertion order for recency; the reference backend
-        # keeps the explicit OrderedDict recency list.
-        if self._vectorized:
-            self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
-        else:
-            self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # One mapping per set: {line_address: dirty}.  Insertion order is
+        # the recency order, so the first entry is the least recently used
+        # line.
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         # Resident-line count, kept in sync by every mutation so that
         # emptiness checks and contents-vs-range walk decisions are O(1).
         self._num_valid = 0
@@ -212,17 +196,10 @@ class SetAssociativeCache:
         line_addr = (line_addr // line) * line
         cache_set = self._sets[(line_addr // line) % self.num_sets]
         stats = self.stats
-        if self._vectorized:
-            prev = cache_set.pop(line_addr, None)
-            if prev is not None:
-                stats.hits += 1
-                cache_set[line_addr] = prev or write
-                return True, None, False
-        elif line_addr in cache_set:
+        prev = cache_set.pop(line_addr, None)
+        if prev is not None:
             stats.hits += 1
-            if write and not cache_set[line_addr]:
-                cache_set[line_addr] = True
-            cache_set.move_to_end(line_addr)
+            cache_set[line_addr] = prev or write
             return True, None, False
 
         stats.misses += 1
@@ -231,11 +208,8 @@ class SetAssociativeCache:
         evicted_line: Optional[int] = None
         evicted_dirty = False
         if len(cache_set) >= self.ways:
-            if self._vectorized:
-                evicted_line = next(iter(cache_set))
-                evicted_dirty = cache_set.pop(evicted_line)
-            else:
-                evicted_line, evicted_dirty = cache_set.popitem(last=False)
+            evicted_line = next(iter(cache_set))
+            evicted_dirty = cache_set.pop(evicted_line)
             stats.evictions += 1
             if evicted_dirty:
                 stats.dirty_evictions += 1
@@ -287,67 +261,6 @@ class SetAssociativeCache:
         self, start: int, nbytes: int, write: bool, allocate: bool = True
     ) -> RangeAccessResult:
         """Access every line in ``[start, start + nbytes)``."""
-        if self._vectorized:
-            return self._access_range_fast(start, nbytes, write, allocate)
-        result = RangeAccessResult()
-        if nbytes <= 0:
-            return result
-        # Hot path: the per-line bookkeeping of access_line, inlined with
-        # the geometry and counters hoisted into locals.
-        line = self.line_bytes
-        num_sets = self.num_sets
-        ways = self.ways
-        sets = self._sets
-        stats = self.stats
-        evicted_dirty_lines = result.evicted_dirty
-        append_dirty = evicted_dirty_lines.append
-        hits = misses = evicted_clean = evictions = installed = 0
-        first_index = start // line
-        last_index = (start + nbytes - 1) // line
-        if allocate:
-            if first_index * line < self._addr_lo:
-                self._addr_lo = first_index * line
-            if last_index * line > self._addr_hi:
-                self._addr_hi = last_index * line
-        for line_index in range(first_index, last_index + 1):
-            line_addr = line_index * line
-            cache_set = sets[line_index % num_sets]
-            if line_addr in cache_set:
-                hits += 1
-                if write and not cache_set[line_addr]:
-                    cache_set[line_addr] = True
-                cache_set.move_to_end(line_addr)
-                continue
-            misses += 1
-            if not allocate:
-                continue
-            if len(cache_set) >= ways:
-                evicted_line, was_dirty = cache_set.popitem(last=False)
-                evictions += 1
-                if was_dirty:
-                    append_dirty(evicted_line)
-                else:
-                    evicted_clean += 1
-            else:
-                installed += 1
-            cache_set[line_addr] = write
-        result.lines = last_index - first_index + 1
-        result.hits = hits
-        result.misses = misses
-        result.evicted_clean = evicted_clean
-        self._num_valid += installed
-        dirty_evictions = len(evicted_dirty_lines)
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
-        stats.writebacks += dirty_evictions
-        return result
-
-    def _access_range_fast(
-        self, start: int, nbytes: int, write: bool, allocate: bool
-    ) -> RangeAccessResult:
-        """The vectorized :meth:`access_range` walk (pop-and-reinsert hits)."""
         result = RangeAccessResult()
         if nbytes <= 0:
             return result
@@ -373,11 +286,10 @@ class SetAssociativeCache:
             set_index += 1
             if set_index == num_sets:
                 set_index = 0
-            # One pop + one reinsert replace the reference walk's
-            # membership test, dirty read/write, and move_to_end; the
-            # reinsert lands the line in MRU position, and `prev or write`
-            # is the sticky-dirty rule (dirty stays dirty, a write access
-            # dirties a clean line).
+            # One pop + one reinsert does the whole hit: the reinsert lands
+            # the line in MRU position, and `prev or write` is the
+            # sticky-dirty rule (dirty stays dirty, a write access dirties
+            # a clean line).
             prev = cache_set.pop(line_addr, None)
             if prev is not None:
                 hits += 1
@@ -423,62 +335,9 @@ class SetAssociativeCache:
         back).  Statistics are updated exactly as per-line calls would.
 
         Both returned lists are in walk order — the datapath feeds them to
-        the LLC sequentially, so the order is part of the bit-identity
-        contract between the backends.
+        the LLC sequentially, so the order is part of the simulated
+        result.
         """
-        if self._vectorized:
-            return self._access_line_run_fast(start, nbytes, write)
-        hits = 0
-        miss_lines: List[int] = []
-        evicted_dirty: List[int] = []
-        if nbytes <= 0:
-            return 0, 0, miss_lines, evicted_dirty
-        line = self.line_bytes
-        num_sets = self.num_sets
-        ways = self.ways
-        sets = self._sets
-        stats = self.stats
-        first_index = start // line
-        last_index = (start + nbytes - 1) // line
-        if first_index * line < self._addr_lo:
-            self._addr_lo = first_index * line
-        if last_index * line > self._addr_hi:
-            self._addr_hi = last_index * line
-        append_miss = miss_lines.append
-        append_dirty = evicted_dirty.append
-        evictions = installed = 0
-        for line_index in range(first_index, last_index + 1):
-            line_addr = line_index * line
-            cache_set = sets[line_index % num_sets]
-            if line_addr in cache_set:
-                hits += 1
-                if write and not cache_set[line_addr]:
-                    cache_set[line_addr] = True
-                cache_set.move_to_end(line_addr)
-                continue
-            append_miss(line_addr)
-            if len(cache_set) >= ways:
-                evicted_line, was_dirty = cache_set.popitem(last=False)
-                evictions += 1
-                if was_dirty:
-                    append_dirty(evicted_line)
-            else:
-                installed += 1
-            cache_set[line_addr] = write
-        misses = len(miss_lines)
-        dirty_evictions = len(evicted_dirty)
-        self._num_valid += installed
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.dirty_evictions += dirty_evictions
-        stats.writebacks += dirty_evictions
-        return hits, misses, miss_lines, evicted_dirty
-
-    def _access_line_run_fast(
-        self, start: int, nbytes: int, write: bool
-    ) -> Tuple[int, int, List[int], List[int]]:
-        """The vectorized :meth:`access_line_run` walk."""
         hits = 0
         miss_lines: List[int] = []
         evicted_dirty: List[int] = []
@@ -544,52 +403,6 @@ class SetAssociativeCache:
         """
         if not line_addrs:
             return 0, 0, 0
-        if self._vectorized:
-            return self._access_lines_fast(line_addrs, write)
-        hits = 0
-        misses = 0
-        evicted_dirty = 0
-        line = self.line_bytes
-        num_sets = self.num_sets
-        ways = self.ways
-        sets = self._sets
-        stats = self.stats
-        lo = min(line_addrs)
-        hi = max(line_addrs)
-        if lo < self._addr_lo:
-            self._addr_lo = lo
-        if hi > self._addr_hi:
-            self._addr_hi = hi
-        evictions = installed = 0
-        for line_addr in line_addrs:
-            cache_set = sets[(line_addr // line) % num_sets]
-            if line_addr in cache_set:
-                hits += 1
-                if write and not cache_set[line_addr]:
-                    cache_set[line_addr] = True
-                cache_set.move_to_end(line_addr)
-                continue
-            misses += 1
-            if len(cache_set) >= ways:
-                _evicted_line, was_dirty = cache_set.popitem(last=False)
-                evictions += 1
-                if was_dirty:
-                    evicted_dirty += 1
-            else:
-                installed += 1
-            cache_set[line_addr] = write
-        self._num_valid += installed
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.dirty_evictions += evicted_dirty
-        stats.writebacks += evicted_dirty
-        return hits, misses, evicted_dirty
-
-    def _access_lines_fast(
-        self, line_addrs: List[int], write: bool
-    ) -> Tuple[int, int, int]:
-        """The vectorized :meth:`access_lines` walk (arbitrary address list)."""
         hits = 0
         misses = 0
         evicted_dirty = 0
@@ -638,37 +451,6 @@ class SetAssociativeCache:
         """
         if nbytes <= 0:
             return 0
-        if self._vectorized:
-            return self._install_range_fast(start, nbytes, dirty)
-        line = self.line_bytes
-        num_sets = self.num_sets
-        ways = self.ways
-        sets = self._sets
-        installed = 0
-        first_index = start // line
-        last_index = (start + nbytes - 1) // line
-        if first_index * line < self._addr_lo:
-            self._addr_lo = first_index * line
-        if last_index * line > self._addr_hi:
-            self._addr_hi = last_index * line
-        for line_index in range(first_index, last_index + 1):
-            line_addr = line_index * line
-            cache_set = sets[line_index % num_sets]
-            if line_addr in cache_set:
-                if dirty and not cache_set[line_addr]:
-                    cache_set[line_addr] = True
-                cache_set.move_to_end(line_addr)
-            else:
-                if len(cache_set) >= ways:
-                    cache_set.popitem(last=False)
-                else:
-                    self._num_valid += 1
-                cache_set[line_addr] = dirty
-            installed += 1
-        return installed
-
-    def _install_range_fast(self, start: int, nbytes: int, dirty: bool) -> int:
-        """The vectorized :meth:`install_range` walk."""
         line = self.line_bytes
         num_sets = self.num_sets
         ways = self.ways

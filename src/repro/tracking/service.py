@@ -254,7 +254,6 @@ class TrackingService:
                 continue
             benchmarks = report.get("benchmarks")
             entry["scale"] = report.get("scale")
-            entry["core_backend"] = report.get("core_backend")
             entry["host"] = report.get("host")
             entry["rates"] = {
                 name: value.get("rate")

@@ -1,20 +1,10 @@
 """Small generic helpers shared by the rest of the library."""
 
-from repro.utils.backend import (
-    CORE_BACKENDS,
-    DEFAULT_CORE_BACKEND,
-    active_backend,
-    core_backend,
-)
 from repro.utils.rng import SeededRNG, derive_seed
 from repro.utils.stats import RunningStats, geometric_mean, mean, normalize
 from repro.utils.tables import format_table
 
 __all__ = [
-    "CORE_BACKENDS",
-    "DEFAULT_CORE_BACKEND",
-    "active_backend",
-    "core_backend",
     "SeededRNG",
     "derive_seed",
     "RunningStats",

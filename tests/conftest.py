@@ -16,20 +16,18 @@ from repro.soc.coherence import CoherenceMode
 from repro.soc.config import SoCConfig, TimingConfig
 from repro.soc.soc import Soc
 from repro.units import KB, MB
-from repro.utils.backend import CORE_BACKENDS, core_backend
 
 
-@pytest.fixture(params=CORE_BACKENDS)
-def core_backend_name(request):
-    """Parametrize the requesting test over every core backend.
+@pytest.fixture(params=["reference"])
+def reference_core(request):
+    """Tag the requesting test ``[reference]``.
 
-    Depending on this fixture (directly, or via a module-level autouse
-    fixture — see ``tests/test_qlearning.py`` / ``tests/test_engine.py``)
-    runs the test once per ``REPRO_CORE_BACKEND`` value, with the backend
-    selected for the duration of the test.
+    The event engine and the Q-table each keep one implementation: the
+    form that the retired ``reference`` core backend selected.  Their
+    suites (``tests/test_engine.py``, ``tests/test_qlearning.py``) keep the
+    test IDs that backend gave them through this one-value parameter.
     """
-    with core_backend(request.param):
-        yield request.param
+    return request.param
 
 
 @pytest.fixture

@@ -1,9 +1,4 @@
-"""Unit tests for the discrete-event engine.
-
-The whole module runs once per core backend (reference pop-loop and
-vectorized cohort loop, see the autouse fixture below), so every ordering
-and resume invariant is asserted against both run loops.
-"""
+"""Unit tests for the discrete-event engine."""
 
 from __future__ import annotations
 
@@ -14,10 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.engine import Engine, ResumeAt
 
-
-@pytest.fixture(autouse=True)
-def _backend_matrix(core_backend_name):
-    """Run every test in this module under each core backend."""
+pytestmark = pytest.mark.usefixtures("reference_core")
 
 
 def delay_process(log, tag, delays):
@@ -90,6 +82,35 @@ class TestEngineBasics:
         assert not engine.all_finished()
         engine.run()
         assert engine.all_finished()
+
+    def test_same_time_events_run_in_queue_order(self):
+        # Zero-delay re-arms stay at the current timestamp and run after
+        # every event already queued for it, so two bouncing processes
+        # alternate in spawn order; at t=7, b re-armed first and runs first.
+        engine = Engine()
+        log = []
+
+        def bouncer(tag, bounces):
+            for bounce in range(bounces):
+                log.append((tag, bounce, engine.now))
+                yield 0
+            yield 7
+            log.append((tag, "done", engine.now))
+
+        engine.spawn("a", bouncer("a", 3))
+        engine.spawn("b", bouncer("b", 2))
+        engine.run()
+        assert log == [
+            ("a", 0, 0.0),
+            ("b", 0, 0.0),
+            ("a", 1, 0.0),
+            ("b", 1, 0.0),
+            ("a", 2, 0.0),
+            ("b", "done", 7.0),
+            ("a", "done", 7.0),
+        ]
+        assert engine.events_processed == 9
+        assert engine.now == 7.0
 
 
 class TestEngineErrors:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.policies import CohmeleonPolicy
 from repro.errors import ConfigurationError, ModelError
-from repro.experiments.sweep import ResultCache, SweepRunner
+from repro.experiments.sweep import ResultCache, RunConfig, SweepRunner
 from repro.experiments.sweep.manifest import payload_digest as sweep_payload_digest
 from repro.models import (
     ARTIFACT_FORMAT,
@@ -43,7 +43,7 @@ def quickstart_training(tmp_path_factory):
     """One trained quickstart artifact, saved to a module-scoped registry."""
     root = tmp_path_factory.mktemp("models")
     scenario = get_scenario("quickstart")
-    runner = SweepRunner(workers=1, cache=ResultCache(root / "cache"))
+    runner = SweepRunner(config=RunConfig(workers=1, cache=ResultCache(root / "cache")))
     run = train_artifact(
         scenario, name="qs-demo", training_iterations=QUICK_ITERATIONS, runner=runner
     )
@@ -214,7 +214,9 @@ def test_retraining_hits_the_cache_and_is_name_independent(quickstart_training):
         name="different-name",
         training_iterations=QUICK_ITERATIONS,
         runner=SweepRunner(
-            workers=1, cache=ResultCache(quickstart_training["root"] / "cache")
+            config=RunConfig(
+                workers=1, cache=ResultCache(quickstart_training["root"] / "cache")
+            )
         ),
     )
     assert rerun.cache_hits == 1 and rerun.executed == 0
@@ -256,10 +258,16 @@ def test_pretrained_run_worker_invariant_and_resumable(quickstart_training, tmp_
         return {k: sweep_payload_digest(v.to_dict()) for k, v in result.evaluations.items()}
 
     serial = run_scenario(
-        scenario, policy_kinds=kinds, runner=SweepRunner(workers=1), pretrained=artifact
+        scenario,
+        policy_kinds=kinds,
+        runner=SweepRunner(config=RunConfig(workers=1)),
+        pretrained=artifact,
     )
     parallel = run_scenario(
-        scenario, policy_kinds=kinds, runner=SweepRunner(workers=4), pretrained=artifact
+        scenario,
+        policy_kinds=kinds,
+        runner=SweepRunner(config=RunConfig(workers=4)),
+        pretrained=artifact,
     )
     assert digests(serial) == digests(parallel)
 
@@ -268,13 +276,17 @@ def test_pretrained_run_worker_invariant_and_resumable(quickstart_training, tmp_
     cold = run_scenario(
         scenario,
         policy_kinds=kinds,
-        runner=SweepRunner(workers=2, cache=cache, manifest_dir=manifest_dir),
+        runner=SweepRunner(config=RunConfig(workers=2, cache=cache, manifest_dir=manifest_dir)),
         pretrained=artifact,
     )
     resumed = run_scenario(
         scenario,
         policy_kinds=kinds,
-        runner=SweepRunner(workers=2, cache=cache, manifest_dir=manifest_dir, resume=True),
+        runner=SweepRunner(
+            config=RunConfig(
+                workers=2, cache=cache, manifest_dir=manifest_dir, resume=True
+            )
+        ),
         pretrained=artifact,
     )
     assert resumed.executed == 0 and resumed.resumed == len(kinds)
@@ -288,7 +300,7 @@ def test_pretrained_fingerprints_incorporate_the_digest(quickstart_training, tmp
     registry = quickstart_training["registry"]
     artifact = registry.load("qs-demo")
     cache = ResultCache(tmp_path / "cache")
-    runner = SweepRunner(workers=1, cache=cache)
+    runner = SweepRunner(config=RunConfig(workers=1, cache=cache))
     kinds = ("cohmeleon",)
     run_scenario(scenario, policy_kinds=kinds, runner=runner, pretrained=artifact)
 
@@ -313,7 +325,7 @@ def test_relocated_artifact_still_hits_the_cache(quickstart_training, tmp_path):
     scenario = quickstart_training["scenario"]
     artifact = quickstart_training["registry"].load("qs-demo")
     cache = ResultCache(tmp_path / "cache")
-    runner = SweepRunner(workers=1, cache=cache)
+    runner = SweepRunner(config=RunConfig(workers=1, cache=cache))
     kinds = ("cohmeleon",)
     first = run_scenario(scenario, policy_kinds=kinds, runner=runner, pretrained=artifact)
     assert first.executed == 1
@@ -345,7 +357,7 @@ def test_stale_pretrained_digest_is_rejected_at_execution(quickstart_training, t
         run_scenario(
             scenario,
             policy_kinds=("cohmeleon",),
-            runner=SweepRunner(workers=1),
+            runner=SweepRunner(config=RunConfig(workers=1)),
             pretrained=swapped,
         )
 
@@ -371,7 +383,7 @@ def test_transfer_evaluation_on_another_scenario(quickstart_training):
     result = run_scenario(
         other,
         policy_kinds=("fixed-non-coh-dma", "cohmeleon"),
-        runner=SweepRunner(workers=1),
+        runner=SweepRunner(config=RunConfig(workers=1)),
         pretrained=artifact,
     )
     assert result.pretrained_digest == artifact.digest

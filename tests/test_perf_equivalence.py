@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +59,7 @@ class ReferenceCache:
         last = ((start + nbytes - 1) // line) * line
         return range(first, last + line, line)
 
-    def access_line(self, line_addr, write):
+    def access_line(self, line_addr, write, allocate=True):
         line_addr = (line_addr // self.line_bytes) * self.line_bytes
         cache_set = self._set(line_addr)
         if line_addr in cache_set:
@@ -67,6 +68,8 @@ class ReferenceCache:
             cache_set[line_addr] = dirty or write
             return True, None, False
         self.misses += 1
+        if not allocate:
+            return False, None, False
         evicted, evicted_dirty = None, False
         if len(cache_set) >= self.ways:
             evicted, evicted_dirty = cache_set.popitem(last=False)
@@ -77,21 +80,46 @@ class ReferenceCache:
         cache_set[line_addr] = write
         return False, evicted, evicted_dirty
 
-    def access_range(self, start, nbytes, write):
-        hits = misses = 0
+    def access_range(self, start, nbytes, write, allocate=True):
+        hits = misses = evicted_clean = 0
         evicted_dirty = []
+        for line_addr in self._lines(start, nbytes):
+            hit, evicted, was_dirty = self.access_line(line_addr, write, allocate)
+            if hit:
+                hits += 1
+            else:
+                misses += 1
+            if evicted is not None:
+                if was_dirty:
+                    evicted_dirty.append(evicted)
+                else:
+                    evicted_clean += 1
+        return hits, misses, evicted_dirty, evicted_clean
+
+    def access_line_run(self, start, nbytes, write):
+        hits, miss_lines, evicted_dirty = 0, [], []
         for line_addr in self._lines(start, nbytes):
             hit, evicted, was_dirty = self.access_line(line_addr, write)
             if hit:
                 hits += 1
             else:
-                misses += 1
-            if evicted is not None and was_dirty:
+                miss_lines.append(line_addr)
+            if was_dirty:
                 evicted_dirty.append(evicted)
-        return hits, misses, evicted_dirty
+        return hits, len(miss_lines), miss_lines, evicted_dirty
+
+    def access_lines(self, line_addrs, write):
+        hits = misses = dirty = 0
+        for line_addr in line_addrs:
+            hit, _evicted, was_dirty = self.access_line(line_addr, write)
+            hits += hit
+            misses += not hit
+            dirty += was_dirty
+        return hits, misses, dirty
 
     def install_range(self, start, nbytes, dirty):
-        for line_addr in self._lines(start, nbytes):
+        lines = self._lines(start, nbytes)
+        for line_addr in lines:
             cache_set = self._set(line_addr)
             if line_addr in cache_set:
                 was = cache_set.pop(line_addr)
@@ -100,6 +128,21 @@ class ReferenceCache:
                 if len(cache_set) >= self.ways:
                     cache_set.popitem(last=False)
                 cache_set[line_addr] = dirty
+        return len(lines)
+
+    def invalidate_line(self, byte_addr):
+        line_addr = (byte_addr // self.line_bytes) * self.line_bytes
+        return bool(self._set(line_addr).pop(line_addr, False))
+
+    def flush_all(self):
+        writebacks = invalidations = 0
+        for cache_set in self.sets:
+            invalidations += len(cache_set)
+            writebacks += sum(cache_set.values())
+            cache_set.clear()
+        self.flush_writebacks += writebacks
+        self.flush_invalidations += invalidations
+        return writebacks, invalidations
 
     def flush_range(self, start, nbytes):
         writebacks = invalidations = 0
@@ -128,6 +171,19 @@ class ReferenceCache:
     def state(self):
         return [list(cache_set.items()) for cache_set in self.sets]
 
+    def stats(self):
+        """The counters in :meth:`CacheStats.as_dict` form (no recalls here)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "dirty_evictions": self.dirty_evictions,
+            "writebacks": self.writebacks,
+            "flush_writebacks": self.flush_writebacks,
+            "flush_invalidations": self.flush_invalidations,
+            "recalls": 0,
+        }
+
 
 def _state_of(cache: SetAssociativeCache):
     return [list(cache_set.items()) for cache_set in cache._sets]
@@ -140,6 +196,52 @@ _op = st.tuples(
     st.integers(min_value=0, max_value=2048),
     st.booleans(),
 )
+
+
+_LINE = 64
+#: Address window of :data:`_any_op`: 256 lines through an 8 KiB 2-way
+#: cache (64 sets), so every set thrashes.
+_SPAN = 256 * _LINE
+_addr = st.integers(min_value=0, max_value=_SPAN)
+_nbytes = st.integers(min_value=1, max_value=24 * _LINE)
+
+#: Any cache operation as ``(method, *args)``, with the arguments the
+#: datapath passes (``access_lines`` takes aligned line addresses).
+_any_op = st.one_of(
+    st.tuples(st.just("access_range"), _addr, _nbytes, st.booleans(), st.booleans()),
+    st.tuples(st.just("access_line_run"), _addr, _nbytes, st.booleans()),
+    st.tuples(
+        st.just("access_lines"),
+        st.lists(_addr.map(lambda a: (a // _LINE) * _LINE), min_size=1, max_size=12),
+        st.booleans(),
+    ),
+    st.tuples(st.just("install_range"), _addr, _nbytes, st.booleans()),
+    st.tuples(st.just("access_line"), _addr, st.booleans(), st.booleans()),
+    st.tuples(st.just("flush_range"), _addr, _nbytes),
+    st.tuples(st.just("invalidate_line"), _addr),
+    st.tuples(st.just("flush_all")),
+)
+
+
+def _range_outcome(result):
+    """A :class:`RangeAccessResult` in :meth:`ReferenceCache.access_range` form."""
+    return result.hits, result.misses, result.evicted_dirty, result.evicted_clean
+
+
+def _replay_against_oracle(ops):
+    """Apply ``ops`` to a cache and the oracle, comparing after every call."""
+    cache = SetAssociativeCache("cache", size_bytes=8 * 1024, line_bytes=_LINE, ways=2)
+    ref = ReferenceCache(size_bytes=8 * 1024, line_bytes=_LINE, ways=2)
+    for method, *args in ops:
+        outcome = getattr(cache, method)(*args)
+        if method == "access_range":
+            assert outcome.lines == len(ref._lines(args[0], args[1]))
+            outcome = _range_outcome(outcome)
+        assert outcome == getattr(ref, method)(*args), method
+        assert _state_of(cache) == ref.state()
+    assert cache.valid_lines() == sum(len(s) for s in ref.sets)
+    assert cache.dirty_lines() == sum(sum(s.values()) for s in ref.sets)
+    assert cache.stats.as_dict() == ref.stats()
 
 
 class TestCacheEquivalence:
@@ -160,20 +262,16 @@ class TestCacheEquivalence:
         for kind, start, nbytes, flag in ops:
             if kind in ("read", "write"):
                 result = fast.access_range(start, nbytes, write=(kind == "write"))
-                hits, misses, evicted_dirty = ref.access_range(
+                assert _range_outcome(result) == ref.access_range(
                     start, nbytes, write=(kind == "write")
                 )
-                assert (result.hits, result.misses) == (hits, misses)
-                assert sorted(result.evicted_dirty) == sorted(evicted_dirty)
             elif kind == "install":
                 fast.install_range(start, nbytes, dirty=flag)
                 ref.install_range(start, nbytes, dirty=flag)
             elif kind == "flush":
                 assert fast.flush_range(start, nbytes) == ref.flush_range(start, nbytes)
             elif kind == "invalidate":
-                dirty = fast.invalidate_line(start)
-                ref_set = ref._set((start // line) * line)
-                assert dirty == bool(ref_set.pop((start // line) * line, False))
+                assert fast.invalidate_line(start) == ref.invalidate_line(start)
             else:
                 assert sorted(fast.resident_lines_within(start, nbytes)) == sorted(
                     ref.resident_within(start, nbytes)
@@ -181,12 +279,33 @@ class TestCacheEquivalence:
             assert _state_of(fast) == ref.state()
             assert fast.valid_lines() == sum(len(s) for s in ref.sets)
 
-        assert (fast.stats.hits, fast.stats.misses) == (ref.hits, ref.misses)
-        assert fast.stats.evictions == ref.evictions
-        assert fast.stats.dirty_evictions == ref.dirty_evictions
-        assert fast.stats.writebacks == ref.writebacks
-        assert fast.stats.flush_writebacks == ref.flush_writebacks
-        assert fast.stats.flush_invalidations == ref.flush_invalidations
+        assert fast.stats.as_dict() == ref.stats()
+
+    @given(ops=st.lists(_any_op, min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_every_operation_matches_the_oracle(self, ops):
+        """Each call's result, and the recency order after it, match."""
+        _replay_against_oracle(ops)
+
+    @pytest.mark.slow
+    @given(ops=st.lists(_any_op, min_size=1, max_size=40))
+    @settings(max_examples=1000, deadline=None)
+    def test_every_operation_matches_the_oracle_fleet(self, ops):
+        """The same property over 12.5x the examples (the slow fleet)."""
+        _replay_against_oracle(ops)
+
+    def test_eviction_order_is_lru_in_walk_order(self):
+        # Overfilling one set evicts its oldest lines first, in walk order.
+        cache = SetAssociativeCache("lru", 4 * _LINE, _LINE, ways=2)
+        ref = ReferenceCache(4 * _LINE, _LINE, ways=2)
+        assert cache.num_sets == ref.num_sets == 2
+        # Lines 0, 2, 4 and 6 map to set 0: fill it, then overflow it twice.
+        for addr in (0, 2 * _LINE):
+            assert cache.access_line(addr, True) == ref.access_line(addr, True)
+        result = cache.access_range(4 * _LINE, 4 * _LINE, write=False)
+        assert result.evicted_dirty == [0, 2 * _LINE]
+        assert _range_outcome(result) == ref.access_range(4 * _LINE, 4 * _LINE, False)
+        assert _state_of(cache) == ref.state()
 
     @given(
         ops=st.lists(_op.filter(lambda o: o[0] in ("read", "write", "install")), max_size=10),

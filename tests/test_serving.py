@@ -5,7 +5,7 @@ HTTP transport (loopback, ephemeral ports): server lifecycle, single and
 batched decision semantics against the offline Q-table, digest/version
 provenance on every response, hot-reload behaviour, typed error envelopes
 (no tracebacks over the wire), the stats/histogram surface, and
-byte-identical decision payloads across both core backends.  The suite
+byte-identical decision payloads against golden recordings.  The suite
 has no dependency on an async test plugin — each test owns its event loop
 via ``asyncio.run``.
 """
@@ -39,7 +39,6 @@ from repro.serving.protocol import (
     parse_state,
 )
 from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
-from repro.utils.backend import CORE_BACKENDS, core_backend
 
 
 def with_server(test, registry=None, tmp_path=None, **service_kwargs):
@@ -690,47 +689,3 @@ class TestStats:
         assert histogram.percentile(1.0) == 500.0
         snapshot = histogram.snapshot()
         assert snapshot["count"] == 100
-
-
-# ----------------------------------------------------------------------
-# Core-backend interplay
-# ----------------------------------------------------------------------
-class TestBackendInterplay:
-    """Decision payloads are byte-identical across core backends."""
-
-    def test_decisions_match_offline_table_under_each_backend(
-        self, tmp_path, core_backend_name
-    ):
-        registry = make_registry(tmp_path / "models", make_artifact(seed=23))
-        qtable = registry.load("served").build_policy().agent.qtable
-        assert qtable.backend == core_backend_name
-        states = list(range(0, NUM_STATES, 3))
-        expected = [mode.label for mode in qtable.best_modes(states)]
-
-        async def test(server, client, service):
-            assert service.model.qtable.backend == core_backend_name
-            status, document = await client.decide(states)
-            assert status == 200
-            assert document["decisions"] == expected
-
-        with_server(test, registry=registry)
-
-    def test_decision_payloads_are_byte_identical_across_backends(self, tmp_path):
-        states = list(range(NUM_STATES))
-        payloads = {}
-        for backend in CORE_BACKENDS:
-            with core_backend(backend):
-                registry = make_registry(
-                    tmp_path / f"models-{backend}", make_artifact(seed=23)
-                )
-
-                async def test(server, client, service):
-                    status, document = await client.decide(states)
-                    assert status == 200
-                    return document
-
-                payloads[backend] = json.dumps(
-                    with_server(test, registry=registry), sort_keys=True
-                )
-        reference, vectorized = (payloads[b] for b in CORE_BACKENDS)
-        assert reference == vectorized

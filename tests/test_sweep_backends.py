@@ -15,6 +15,7 @@ from repro.experiments.sweep import (
     BACKEND_NAMES,
     Job,
     ResultCache,
+    RunConfig,
     SweepRunner,
     SweepSpec,
     create_backend,
@@ -100,21 +101,21 @@ class TestContract:
     @pytest.mark.parametrize("name", ["process", "thread", "batch"])
     def test_backends_match_serial_reference(self, name):
         spec = _grid()
-        reference = SweepRunner(workers=1, backend="serial").run(spec)
-        other = SweepRunner(workers=4, backend=name).run(spec)
+        reference = SweepRunner(config=RunConfig(workers=1, backend="serial")).run(spec)
+        other = SweepRunner(config=RunConfig(workers=4, backend=name)).run(spec)
         assert dict(other.payloads) == dict(reference.payloads)
         assert list(other.payloads) == spec.keys()  # grid order restored
 
     def test_thread_backend_with_more_workers_than_jobs(self):
         spec = _grid(n=2)
-        result = SweepRunner(workers=16, backend="thread").run(spec)
+        result = SweepRunner(config=RunConfig(workers=16, backend="thread")).run(spec)
         assert len(result) == 2
         # The runner clamps the request to the number of pending jobs.
         assert result.workers_used == 2
 
     def test_process_backend_serial_when_one_worker(self):
         spec = _grid(n=3)
-        result = SweepRunner(workers=1, backend="process").run(spec)
+        result = SweepRunner(config=RunConfig(workers=1, backend="process")).run(spec)
         assert result.workers_used == 1
         assert len(result) == 3
 
@@ -124,7 +125,7 @@ class TestContract:
         cache = ResultCache(tmp_path / "cache")
         spec = _grid(fn=_fail_on_three, n=12)
         with pytest.raises(RuntimeError, match="job 3 exploded"):
-            SweepRunner(workers=1, backend="thread", cache=cache).run(spec)
+            SweepRunner(config=RunConfig(workers=1, backend="thread", cache=cache)).run(spec)
         assert len(cache) < 11  # jobs after the failure never ran
 
 
@@ -133,7 +134,7 @@ class TestIncrementalCheckpointing:
         """The crash contract: a dying sweep loses at most in-flight jobs."""
         cache = ResultCache(tmp_path / "cache")
         spec = _grid(fn=_fail_on_three)
-        runner = SweepRunner(workers=1, backend="serial", cache=cache)
+        runner = SweepRunner(config=RunConfig(workers=1, backend="serial", cache=cache))
         with pytest.raises(RuntimeError, match="job 3 exploded"):
             runner.run(spec)
         # Jobs 0..2 completed before the failure and must already be on disk.
@@ -143,16 +144,16 @@ class TestIncrementalCheckpointing:
         cache = ResultCache(tmp_path / "cache")
         broken = _grid(fn=_fail_on_three)
         with pytest.raises(RuntimeError):
-            SweepRunner(workers=1, cache=cache).run(broken)
+            SweepRunner(config=RunConfig(workers=1, cache=cache)).run(broken)
         stored = {
             fp: cache.path_for(fp).read_bytes() for fp in cache.fingerprints()
         }
         # The rerun serves 0..2 from the cache (no rewrites) and fails at 3.
         with pytest.raises(RuntimeError):
-            SweepRunner(workers=1, cache=cache).run(broken)
+            SweepRunner(config=RunConfig(workers=1, cache=cache)).run(broken)
         assert {
             fp: cache.path_for(fp).read_bytes() for fp in cache.fingerprints()
         } == stored
         # A different job function never reuses these fingerprints.
-        result = SweepRunner(workers=1, cache=cache).run(_grid(fn=_mul_job))
+        result = SweepRunner(config=RunConfig(workers=1, cache=cache)).run(_grid(fn=_mul_job))
         assert result.cache_hits == 0 and result.executed == 8

@@ -18,7 +18,7 @@ from repro.errors import SweepError
 from repro.experiments.common import motivation_setup
 from repro.experiments.isolation import _isolation_job, run_isolation_experiment
 from repro.experiments.socs import run_soc_comparison
-from repro.experiments.sweep import Job, ResultCache, SweepRunner, SweepSpec
+from repro.experiments.sweep import Job, ResultCache, RunConfig, SweepRunner, SweepSpec
 from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
 from repro.units import KB
 from repro.utils.rng import SeededRNG
@@ -61,7 +61,7 @@ class RecordingRunner(SweepRunner):
     """A runner that keeps every SweepResult for later inspection."""
 
     def __init__(self, workers=1, cache=None):
-        super().__init__(workers=workers, cache=cache)
+        super().__init__(config=RunConfig(workers=workers, cache=cache))
         self.results = []
 
     def run(self, spec):
@@ -129,9 +129,9 @@ class TestJobIdentity:
 class TestSpecDeterminism:
     def test_serial_two_workers_and_shuffled_agree(self):
         spec = small_isolation_spec()
-        serial = SweepRunner(workers=1).run(spec)
-        parallel = SweepRunner(workers=2).run(spec)
-        shuffled = SweepRunner(workers=1).run(spec.shuffled(SeededRNG(99)))
+        serial = SweepRunner(config=RunConfig(workers=1)).run(spec)
+        parallel = SweepRunner(config=RunConfig(workers=2)).run(spec)
+        shuffled = SweepRunner(config=RunConfig(workers=1)).run(spec.shuffled(SeededRNG(99)))
         assert dict(serial.payloads) == dict(parallel.payloads)
         assert dict(serial.payloads) == dict(shuffled.payloads)
         # Grid order is restored regardless of execution order.
@@ -182,7 +182,7 @@ class TestSpecDeterminism:
                 )
             ],
         )
-        runner = SweepRunner(workers=1)
+        runner = SweepRunner(config=RunConfig(workers=1))
         assert dict(runner.run(spec).payloads) == dict(runner.run(spec).payloads)
 
     def test_cheap_grid_parallel_matches_serial(self):
@@ -193,8 +193,8 @@ class TestSpecDeterminism:
                 for i in range(8)
             ],
         )
-        serial = SweepRunner(workers=1).run(spec)
-        parallel = SweepRunner(workers=4).run(spec)
+        serial = SweepRunner(config=RunConfig(workers=1)).run(spec)
+        parallel = SweepRunner(config=RunConfig(workers=4)).run(spec)
         assert dict(serial.payloads) == dict(parallel.payloads)
 
 
@@ -202,7 +202,7 @@ class TestResultCache:
     def test_warm_cache_returns_byte_identical_payloads(self, tmp_path):
         cache = ResultCache(tmp_path / "sweep-cache")
         spec = small_isolation_spec()
-        runner = SweepRunner(workers=1, cache=cache)
+        runner = SweepRunner(config=RunConfig(workers=1, cache=cache))
 
         cold = runner.run(spec)
         assert cold.executed == len(spec) and cold.cache_hits == 0
@@ -223,7 +223,7 @@ class TestResultCache:
         cache.put(fingerprint, job.key, {"product": 6})
         cache.path_for(fingerprint).write_text("{not json")
         assert cache.get(fingerprint) is None
-        result = SweepRunner(workers=1, cache=cache).run(SweepSpec("c", [job]))
+        result = SweepRunner(config=RunConfig(workers=1, cache=cache)).run(SweepSpec("c", [job]))
         assert result.executed == 1
         assert cache.get(fingerprint) == {"product": 6, "draw": result["a"]["draw"]}
 
@@ -256,7 +256,7 @@ class TestResultCache:
         assert set(cache.stale_tmp_files()) == {stale, orphan}
 
         # The rerun commits the entry; the orphans are still not entries.
-        result = SweepRunner(workers=1, cache=cache).run(SweepSpec("c", [job]))
+        result = SweepRunner(config=RunConfig(workers=1, cache=cache)).run(SweepSpec("c", [job]))
         assert result.executed == 1
         assert list(cache.fingerprints()) == [fingerprint]
         assert len(cache) == 1
@@ -278,7 +278,7 @@ class TestFigureSweepDeterminism:
             policy_kinds=SOCS_KINDS,
             training_iterations=1,
             seed=2,
-            runner=SweepRunner(workers=1),
+            runner=SweepRunner(config=RunConfig(workers=1)),
         )
 
     def test_socs_two_workers_match_serial(self, serial_comparison):
@@ -287,7 +287,7 @@ class TestFigureSweepDeterminism:
             policy_kinds=SOCS_KINDS,
             training_iterations=1,
             seed=2,
-            runner=SweepRunner(workers=2),
+            runner=SweepRunner(config=RunConfig(workers=2)),
         )
         assert parallel.points == serial_comparison.points
         assert {
@@ -331,6 +331,10 @@ class TestFigureSweepDeterminism:
             sizes={"Small": 16 * KB},
             modes=tuple(COHERENCE_MODES),
         )
-        serial = run_isolation_experiment(setup, runner=SweepRunner(workers=1), **kwargs)
-        parallel = run_isolation_experiment(setup, runner=SweepRunner(workers=2), **kwargs)
+        serial = run_isolation_experiment(
+            setup, runner=SweepRunner(config=RunConfig(workers=1)), **kwargs
+        )
+        parallel = run_isolation_experiment(
+            setup, runner=SweepRunner(config=RunConfig(workers=2)), **kwargs
+        )
         assert serial == parallel

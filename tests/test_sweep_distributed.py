@@ -86,7 +86,7 @@ def _get_json(url: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# RunConfig: validation, CLI flags, deprecation adapter
+# RunConfig: validation and CLI flags; SweepRunner takes only config=
 # ----------------------------------------------------------------------
 class TestRunConfig:
     def test_defaults(self):
@@ -183,13 +183,7 @@ class TestRunConfig:
 
 
 class TestDeprecatedKwargs:
-    def test_legacy_kwargs_warn_and_adapt(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            runner = SweepRunner(workers=2, cache=cache, backend="thread")
-        assert runner.config == RunConfig(workers=2, cache=cache, backend="thread")
-        assert runner.workers == 2 and runner.cache is cache
-        assert runner.backend == "thread"
+    """The pre-``RunConfig`` keyword form is gone: only ``config=`` remains."""
 
     def test_config_form_does_not_warn(self, recwarn):
         runner = SweepRunner(config=RunConfig(workers=2))
@@ -197,8 +191,10 @@ class TestDeprecatedKwargs:
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
     def test_mixing_config_and_legacy_rejected(self):
-        with pytest.raises(SweepError, match="not both"):
-            SweepRunner(config=RunConfig(), workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            SweepRunner(config=RunConfig(), workers=2)  # type: ignore[call-arg]
+        with pytest.raises(TypeError, match="workers"):
+            SweepRunner(workers=2)  # type: ignore[call-arg]
 
     def test_config_must_be_a_runconfig(self):
         with pytest.raises(SweepError, match="must be a RunConfig"):
@@ -493,11 +489,13 @@ class TestDistributedIntegration:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get_json(backend.url + "/nope")
             assert excinfo.value.code == 404
-            envelope = json.loads(excinfo.value.read().decode("utf-8"))
+            with excinfo.value:  # an HTTPError holds its response open
+                envelope = json.loads(excinfo.value.read().decode("utf-8"))
             assert envelope["error"]["type"] == "not-found"
             # Wrong method on a POST route.
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get_json(backend.url + "/v1/lease")
+            excinfo.value.close()
             assert excinfo.value.code == 400
 
     def test_writes_happen_on_calling_thread(self, tmp_path):
@@ -616,7 +614,7 @@ class TestWorkerKilledMidLease:
                         pytest.fail("victim worker never acquired a lease")
                     # ...then kill it mid-lease, hard.
                     victim.kill()
-                    victim.wait(timeout=10)
+                    victim.communicate(timeout=10)  # reaps it, closes its pipes
                     survivor = self._spawn_worker(backend.url, tmp_path)
                     driver.join(timeout=60)
                     assert not driver.is_alive(), "sweep never completed"
@@ -628,7 +626,8 @@ class TestWorkerKilledMidLease:
                                 proc.kill()
             if survivor is not None:
                 # Once the coordinator socket closes the survivor exits 0.
-                assert survivor.wait(timeout=30) == 0
+                survivor.communicate(timeout=30)
+                assert survivor.returncode == 0
             assert victim.returncode == -signal.SIGKILL
 
             result = outcome["result"]

@@ -22,6 +22,7 @@ from repro.errors import SweepError
 from repro.experiments.sweep import (
     Job,
     ResultCache,
+    RunConfig,
     SweepManifest,
     SweepRunner,
     SweepSpec,
@@ -126,15 +127,15 @@ class TestManifestFile:
 class TestRunnerResume:
     def test_resume_requires_cache_and_manifest_dir(self, tmp_path):
         with pytest.raises(SweepError, match="manifest_dir"):
-            SweepRunner(resume=True, cache=ResultCache(tmp_path / "c"))
+            SweepRunner(config=RunConfig(resume=True, cache=ResultCache(tmp_path / "c")))
         with pytest.raises(SweepError, match="cache"):
-            SweepRunner(resume=True, manifest_dir=tmp_path)
+            SweepRunner(config=RunConfig(resume=True, manifest_dir=tmp_path))
 
     def test_resume_skips_recorded_jobs_bit_identically(self, tmp_path):
         spec = _grid()
         cache = ResultCache(tmp_path / "cache")
         manifest_dir = tmp_path / "manifests"
-        reference = SweepRunner(workers=1).run(spec)
+        reference = SweepRunner(config=RunConfig(workers=1)).run(spec)
 
         # Interrupted run: only the first three jobs completed.
         partial = SweepManifest.open(manifest_dir, spec)
@@ -144,7 +145,7 @@ class TestRunnerResume:
             partial.mark_done(job, payload)
 
         resumed = SweepRunner(
-            workers=1, cache=cache, manifest_dir=manifest_dir, resume=True
+            config=RunConfig(workers=1, cache=cache, manifest_dir=manifest_dir, resume=True)
         ).run(spec)
         assert resumed.resumed == 3
         assert resumed.executed == 3
@@ -167,7 +168,7 @@ class TestRunnerResume:
 
         with pytest.warns(RuntimeWarning, match="missing or stale"):
             result = SweepRunner(
-                workers=1, cache=cache, manifest_dir=manifest_dir, resume=True
+                config=RunConfig(workers=1, cache=cache, manifest_dir=manifest_dir, resume=True)
             ).run(spec)
         assert result.resumed == 0
         assert result.executed == 2
@@ -176,16 +177,16 @@ class TestRunnerResume:
     def test_manifest_written_without_resume_too(self, tmp_path):
         spec = _grid(n=3)
         cache = ResultCache(tmp_path / "cache")
-        SweepRunner(workers=1, cache=cache, manifest_dir=tmp_path / "m").run(spec)
+        SweepRunner(config=RunConfig(workers=1, cache=cache, manifest_dir=tmp_path / "m")).run(spec)
         manifest = SweepManifest.load(SweepManifest.path_for(tmp_path / "m", spec))
         assert not manifest.pending()
 
     def test_cache_hits_are_recorded_into_the_manifest(self, tmp_path):
         spec = _grid(n=3)
         cache = ResultCache(tmp_path / "cache")
-        SweepRunner(workers=1, cache=cache).run(spec)  # warm the cache only
+        SweepRunner(config=RunConfig(workers=1, cache=cache)).run(spec)  # warm the cache only
         result = SweepRunner(
-            workers=1, cache=cache, manifest_dir=tmp_path / "m"
+            config=RunConfig(workers=1, cache=cache, manifest_dir=tmp_path / "m")
         ).run(spec)
         assert result.cache_hits == 3 and result.executed == 0
         manifest = SweepManifest.load(SweepManifest.path_for(tmp_path / "m", spec))
@@ -210,7 +211,7 @@ import sys
 
 import crashjobs
 
-from repro.experiments.sweep import Job, ResultCache, SweepRunner, SweepSpec
+from repro.experiments.sweep import Job, ResultCache, RunConfig, SweepRunner, SweepSpec
 
 cache_dir, manifest_dir, mode = sys.argv[1], sys.argv[2], sys.argv[3]
 spec = SweepSpec(
@@ -221,12 +222,12 @@ spec = SweepSpec(
         for i in range(12)
     ],
 )
-runner = SweepRunner(
+runner = SweepRunner(config=RunConfig(
     workers=1,
     cache=ResultCache(cache_dir),
     manifest_dir=manifest_dir,
     resume=(mode == "resume"),
-)
+))
 result = runner.run(spec)
 print(json.dumps({
     "executed": result.executed,

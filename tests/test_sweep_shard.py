@@ -20,6 +20,7 @@ from repro.experiments.sweep import (
     MergeReport,
     ResultCache,
     ShardIncompleteError,
+    RunConfig,
     ShardSpec,
     SweepManifest,
     SweepRunner,
@@ -130,10 +131,12 @@ class TestShardedRunner:
         executed_keys = set()
         for index in (1, 2, 3):
             result = SweepRunner(
-                workers=1,
-                cache=ResultCache(tmp_path / f"cache-{index}"),
-                manifest_dir=tmp_path / f"manifests-{index}",
-                shard=ShardSpec(index, 3),
+                config=RunConfig(
+                    workers=1,
+                    cache=ResultCache(tmp_path / f"cache-{index}"),
+                    manifest_dir=tmp_path / f"manifests-{index}",
+                    shard=ShardSpec(index, 3),
+                )
             ).run(spec)
             keys = set(result.payloads)
             assert keys.isdisjoint(executed_keys)  # disjoint across shards
@@ -144,9 +147,9 @@ class TestShardedRunner:
     def test_missing_key_raises_shard_incomplete(self, tmp_path):
         spec = _grid()
         result = SweepRunner(
-            workers=1,
-            cache=ResultCache(tmp_path / "cache"),
-            shard=ShardSpec(1, 3),
+            config=RunConfig(
+                workers=1, cache=ResultCache(tmp_path / "cache"), shard=ShardSpec(1, 3)
+            )
         ).run(spec)
         assert not result.complete
         with pytest.raises(ShardIncompleteError, match="merge-shards"):
@@ -157,9 +160,9 @@ class TestShardedRunner:
     def test_warm_cache_fills_foreign_jobs(self, tmp_path):
         spec = _grid()
         cache = ResultCache(tmp_path / "cache")
-        SweepRunner(workers=1, cache=cache).run(spec)  # warm everything
+        SweepRunner(config=RunConfig(workers=1, cache=cache)).run(spec)  # warm everything
         result = SweepRunner(
-            workers=1, cache=cache, shard=ShardSpec(2, 3)
+            config=RunConfig(workers=1, cache=cache, shard=ShardSpec(2, 3))
         ).run(spec)
         assert result.complete
         assert result.executed == 0
@@ -170,10 +173,12 @@ def _run_shards(tmp_path, spec, count=3, cache_name="cache", manifests="manifest
     cache = ResultCache(tmp_path / cache_name)
     for index in range(1, count + 1):
         SweepRunner(
-            workers=1,
-            cache=ResultCache(tmp_path / f"{cache_name}-{index}"),
-            manifest_dir=tmp_path / manifests,
-            shard=ShardSpec(index, count),
+            config=RunConfig(
+                workers=1,
+                cache=ResultCache(tmp_path / f"{cache_name}-{index}"),
+                manifest_dir=tmp_path / manifests,
+                shard=ShardSpec(index, count),
+            )
         ).run(spec)
         # Fuse the per-shard caches the way CI's artifact download does.
         for fp in ResultCache(tmp_path / f"{cache_name}-{index}").fingerprints():
@@ -191,16 +196,15 @@ class TestMergeShards:
         report = merge_shards(manifests, cache=cache)
         assert report.jobs == len(spec)
         assert [key for key, _ in report.per_job] == spec.keys()
-        reference = SweepRunner(workers=1).run(spec)
+        reference = SweepRunner(config=RunConfig(workers=1)).run(spec)
         assert dict(report.per_job) == {
             key: payload_digest(payload) for key, payload in reference.items()
         }
         # The fused manifest lets a resume run skip the whole grid.
         resumed = SweepRunner(
-            workers=1,
-            cache=cache,
-            manifest_dir=tmp_path / "manifests",
-            resume=True,
+            config=RunConfig(
+                workers=1, cache=cache, manifest_dir=tmp_path / "manifests", resume=True
+            )
         ).run(spec)
         assert resumed.executed == 0 and resumed.resumed == len(spec)
 
@@ -273,7 +277,7 @@ class TestMergeShards:
         manifests = discover_shard_manifests(tmp_path / "manifests")
         report = merge_shards(manifests, cache=cache)
         document = fused_results(report, manifests, cache)
-        reference = SweepRunner(workers=1).run(spec)
+        reference = SweepRunner(config=RunConfig(workers=1)).run(spec)
         assert document["results"] == dict(reference.payloads)
         assert document["checksum"] == report.checksum
 
