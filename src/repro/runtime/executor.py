@@ -4,23 +4,26 @@ The executor turns an :class:`repro.accelerators.invocation.InvocationRequest`
 plus a chosen coherence mode into a discrete-event process: the accelerator
 alternates DMA transfers (reads of its input stream, writes of its output
 stream) with computation, overlapping communication and computation the way
-the pipelined ESP accelerators do.  The DMA transfers are resolved by the
-coherence-mode datapath, so the executor itself is mode-agnostic.
+the pipelined ESP accelerators do.  Once per invocation the executor asks
+the coherence-mode datapath for the chosen mode's transfer loop
+(:meth:`repro.soc.datapath.Datapath.plan`); each iteration then maps its
+read and write windows to wrap pieces and physical segments with integer
+arithmetic and charges every piece through that loop, so the executor
+itself is mode-agnostic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional, Tuple
 
-from repro.accelerators.descriptor import AcceleratorDescriptor
 from repro.accelerators.invocation import InvocationRequest
 from repro.sim.engine import ResumeAt
-from repro.soc.address import Buffer, BufferSegment
+from repro.soc.address import Buffer
 from repro.soc.cache import SetAssociativeCache
 from repro.soc.coherence import CoherenceMode
-from repro.soc.datapath import TransferStats
+from repro.soc.datapath import Segments, TransferStats
 
 
 @dataclass
@@ -33,12 +36,10 @@ class ExecutionRecord:
     stats: TransferStats = field(default_factory=TransferStats)
 
 
-#: Memo tables for the pure stream-geometry helpers.  The same window and
-#: wrap computations repeat on every invocation of the same accelerator and
-#: footprint, so both helpers cache their (read-only) results; the caps
-#: bound memory on pathological workload diversity.
+#: Memo table for :func:`_stream_windows`.  The same split repeats on every
+#: invocation of the same accelerator and footprint, so results are cached
+#: (read-only); the cap bounds memory on pathological workload diversity.
 _WINDOWS_MEMO: dict = {}
-_WRAP_MEMO: dict = {}
 _MEMO_CAP = 16384
 
 
@@ -62,30 +63,45 @@ def _stream_windows(total_bytes: int, iterations: int) -> List[Tuple[int, int]]:
     return windows
 
 
-def _wrap_region(offset: int, nbytes: int, region_bytes: int) -> List[Tuple[int, int]]:
-    """Map a window of a virtual (repeating) stream onto a finite region.
+def _stream_pieces(
+    buffer: Buffer, base: int, region_bytes: int
+) -> Callable[[int, int], List[Segments]]:
+    """Return the map from a stream window to the physical pieces it touches.
 
     Re-reading the input several times is modelled as the virtual stream
-    wrapping around the input region, so a window may straddle the wrap
-    point and be split into up to two pieces.
+    wrapping around a finite region (``region_bytes`` of ``buffer`` from
+    offset ``base``), so a window may straddle the wrap point.  The
+    returned ``pieces(offset, nbytes)`` lists the window's pieces in
+    transfer order, each as its physical segments.  Pieces stay inside the
+    region, which the executor keeps inside the buffer, so a buffer held in
+    one segment maps by arithmetic alone and needs no :meth:`Buffer.slice`.
     """
-    if nbytes <= 0 or region_bytes <= 0:
-        return []
-    key = (offset, nbytes, region_bytes)
-    cached = _WRAP_MEMO.get(key)
-    if cached is not None:
-        return cached
-    pieces: List[Tuple[int, int]] = []
-    remaining = nbytes
-    cursor = offset % region_bytes
-    while remaining > 0:
-        take = min(remaining, region_bytes - cursor)
-        pieces.append((cursor, take))
-        remaining -= take
-        cursor = 0
-    if len(_WRAP_MEMO) >= _MEMO_CAP:
-        _WRAP_MEMO.clear()
-    _WRAP_MEMO[key] = pieces
+    if len(buffer.segments) == 1:
+        mem_tile, start, _size = buffer.segments[0]
+        start += base
+
+        def locate(offset: int, nbytes: int) -> Segments:
+            return ((mem_tile, start + offset, nbytes),)
+
+    else:
+
+        def locate(offset: int, nbytes: int) -> Segments:
+            return buffer.slice(base + offset, nbytes)
+
+    def pieces(offset: int, nbytes: int) -> List[Segments]:
+        result: List[Segments] = []
+        if nbytes <= 0 or region_bytes <= 0:
+            return result
+        cursor = offset % region_bytes
+        while nbytes > 0:
+            take = region_bytes - cursor
+            if take > nbytes:
+                take = nbytes
+            result.append(locate(cursor, take))
+            nbytes -= take
+            cursor = 0
+        return result
+
     return pieces
 
 
@@ -118,6 +134,9 @@ class InvocationExecutor:
         private_cache: Optional[SetAssociativeCache] = None
         if mode is CoherenceMode.FULL_COH:
             private_cache = self.soc.private_cache_of(request.tile_name)
+        transfer = self.soc.datapath.plan(
+            request.tile_name, mode, descriptor.burst_bytes, private_cache
+        )
 
         read_total = descriptor.read_bytes(footprint)
         write_total = descriptor.write_bytes(footprint)
@@ -130,6 +149,10 @@ class InvocationExecutor:
         write_offset = 0 if descriptor.in_place else footprint - output_bytes
         write_region = min(write_region, footprint - write_offset)
         write_region = max(write_region, 1)
+        # Both regions lie inside the footprint, which the request keeps
+        # inside the buffer.
+        read_pieces = _stream_pieces(buffer, 0, read_region)
+        write_pieces = _stream_pieces(buffer, write_offset, write_region)
 
         total_bursts = max(
             1, math.ceil((read_total + write_total) / descriptor.burst_bytes)
@@ -147,37 +170,17 @@ class InvocationExecutor:
             iteration_start = engine.now
             finish = iteration_start
 
-            read_offset, read_bytes = read_windows[index]
+            # The pieces of a window go out back to back: each starts when
+            # the previous one finishes.
             cursor = finish
-            for piece_offset, piece_bytes in _wrap_region(read_offset, read_bytes, read_region):
-                segments = self._segments(buffer, piece_offset, piece_bytes)
-                cursor, _ = self.soc.datapath.dma_read(
-                    cursor,
-                    request.tile_name,
-                    segments,
-                    mode,
-                    descriptor.burst_bytes,
-                    private_cache,
-                    stats=stats,
-                )
+            for segments in read_pieces(*read_windows[index]):
+                cursor = transfer(cursor, segments, False, stats)
             if cursor > finish:
                 finish = cursor
 
-            write_virtual_offset, write_bytes = write_windows[index]
             cursor = finish
-            for piece_offset, piece_bytes in _wrap_region(
-                write_virtual_offset, write_bytes, write_region
-            ):
-                segments = self._segments(buffer, write_offset + piece_offset, piece_bytes)
-                cursor, _ = self.soc.datapath.dma_write(
-                    cursor,
-                    request.tile_name,
-                    segments,
-                    mode,
-                    descriptor.burst_bytes,
-                    private_cache,
-                    stats=stats,
-                )
+            for segments in write_pieces(*write_windows[index]):
+                cursor = transfer(cursor, segments, True, stats)
             if cursor > finish:
                 finish = cursor
 
@@ -195,14 +198,3 @@ class InvocationExecutor:
             compute_cycles=compute_total,
             stats=stats,
         )
-
-    # ------------------------------------------------------------------
-    def _segments(
-        self, buffer: Buffer, offset: int, nbytes: int
-    ) -> List[BufferSegment]:
-        """Resolve a (clamped) buffer slice into physical segments."""
-        if nbytes <= 0:
-            return []
-        offset = max(0, min(offset, buffer.size - 1))
-        nbytes = min(nbytes, buffer.size - offset)
-        return buffer.slice(offset, nbytes)

@@ -13,16 +13,19 @@ multiple DRAM channels.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import BIG_PAGE_BYTES, align_up
 
 
-@dataclass(frozen=True)
-class BufferSegment:
-    """A contiguous piece of a buffer living in one memory partition."""
+class BufferSegment(NamedTuple):
+    """A contiguous piece of a buffer living in one memory partition.
+
+    A segment unpacks as ``(mem_tile, start, size)``, so the datapath's
+    transfer loops also accept plain tuples of that shape.
+    """
 
     mem_tile: int
     start: int
@@ -52,7 +55,6 @@ class Buffer:
             starts.append(covered)
             covered += segment.size
         self._segment_starts = starts
-        self._slice_memo: Dict[Tuple[int, int], List[BufferSegment]] = {}
         self._footprint_memo: Dict[int, Dict[int, int]] = {}
 
     @property
@@ -88,8 +90,9 @@ class Buffer:
 
         Offsets are relative to the start of the buffer (not physical
         addresses); the returned segments carry physical addresses.  The
-        executor re-slices the same windows on every invocation, so results
-        are memoized; callers must treat the returned list as read-only.
+        executor maps a window of a one-segment buffer by arithmetic alone
+        and slices only buffers spread over several segments, so the result
+        is not memoized.
         """
         if offset < 0 or nbytes < 0:
             raise AllocationError("negative slice bounds")
@@ -97,11 +100,6 @@ class Buffer:
             raise AllocationError(
                 f"slice [{offset}, {offset + nbytes}) exceeds buffer of {self.size} bytes"
             )
-        key = (offset, nbytes)
-        memo = self._slice_memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
         result: List[BufferSegment] = []
         if nbytes > 0:
             starts = self._segment_starts
@@ -122,9 +120,6 @@ class Buffer:
                 remaining -= take
                 cursor += take
                 index += 1
-        if len(memo) >= 4096:
-            memo.clear()
-        memo[key] = result
         return result
 
 

@@ -11,29 +11,29 @@ fully-coherent miss path, and queuing on shared LLC ports, NoC links and
 DRAM channels — is produced here.
 
 The datapath operates on *byte ranges* (slices of an accelerator buffer,
-already resolved to physical segments per memory tile by
-:class:`repro.soc.address.Buffer`).  The invocation executor in
-:mod:`repro.runtime.executor` chops an invocation into DMA chunks and calls
-:meth:`Datapath.dma_read` / :meth:`Datapath.dma_write` per chunk.
+already resolved to physical segments ``(mem_tile, start, size)``).  The
+invocation executor in :mod:`repro.runtime.executor` asks
+:meth:`Datapath.plan` once per invocation for the transfer loop of the
+chosen mode, then calls that loop once per DMA piece of every iteration.
+:meth:`Datapath.dma_read` / :meth:`Datapath.dma_write` run a single
+transfer through a fresh plan.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import CoherenceError
 from repro.soc.address import BufferSegment
 from repro.soc.cache import SetAssociativeCache, flush_cost_cycles
 from repro.soc.coherence import CoherenceMode
-from repro.units import bytes_to_lines
 
 
 class TransferStats:
     """Traffic generated by one DMA transfer (or one flush).
 
-    One instance is created (and several merged) per DMA chunk, so the
-    class uses ``__slots__`` to keep allocation and attribute access cheap.
+    The transfer loops add to one instance per invocation for every DMA
+    piece, so the class uses ``__slots__`` to keep attribute access cheap.
     """
 
     __slots__ = (
@@ -113,6 +113,13 @@ class TransferStats:
         }
 
 
+#: The physical segments of one DMA piece, each ``(mem_tile, start, size)``.
+Segments = Sequence[Tuple[int, int, int]]
+
+#: A mode's transfer loop, ``transfer(now, segments, write, stats) -> finish``.
+Transfer = Callable[[float, Segments, bool, TransferStats], float]
+
+
 class Datapath:
     """Executes DMA transfers and flushes against a :class:`repro.soc.soc.Soc`."""
 
@@ -132,16 +139,16 @@ class Datapath:
         self.soc = soc
         self.timing = soc.config.timing
         self.line_bytes = soc.config.cache_line_bytes
-        # Per-transfer lookups resolved once: memory-tile names (the f-string
-        # and membership check of Soc.memory_tile_name are too slow to run
-        # per DMA chunk) and the component containers, which the SoC mutates
-        # in place but never reassigns.
-        self._mem_names = tuple(
-            soc.memory_tile_name(tile) for tile in range(soc.config.num_mem_tiles)
-        )
+        # The SoC's components, which it resets in place but never replaces.
+        # Each memory tile's (DRAM controller, LLC array, LLC port, tile name)
+        # is resolved once, for the transfer loops of plan().
         self._llc_partitions = soc.llc_partitions
         self._dram_controllers = soc.dram_controllers
         self._acc_links = soc.accelerator_links
+        self._memories = tuple(
+            (soc.dram_controllers[tile], llc.cache, llc.port, soc.memory_tile_name(tile))
+            for tile, llc in enumerate(soc.llc_partitions)
+        )
 
     # ------------------------------------------------------------------
     # Software flushes (actuation overhead of non-coherent / LLC-coherent)
@@ -253,13 +260,13 @@ class Datapath:
     ) -> Tuple[float, TransferStats]:
         """Read the given segments under ``mode``; return (finish, stats).
 
-        ``stats`` may be a caller-owned accumulator: traffic is added to it
-        in place (and it is returned), sparing a per-chunk allocation on the
-        executor's hot path.
+        A one-transfer :meth:`plan`.  ``stats`` may be a caller-owned
+        accumulator: traffic is added to it in place (and it is returned).
         """
-        return self._dma(
-            now, acc_tile, segments, mode, burst_bytes, private_cache, False, stats
-        )
+        if stats is None:
+            stats = TransferStats()
+        transfer = self.plan(acc_tile, mode, burst_bytes, private_cache)
+        return transfer(now, segments, False, stats), stats
 
     def dma_write(
         self,
@@ -276,160 +283,152 @@ class Datapath:
         ``stats`` follows the same in-place accumulation contract as
         :meth:`dma_read`.
         """
-        return self._dma(
-            now, acc_tile, segments, mode, burst_bytes, private_cache, True, stats
-        )
-
-    def _dma(
-        self,
-        now: float,
-        acc_tile: str,
-        segments: Sequence[BufferSegment],
-        mode: CoherenceMode,
-        burst_bytes: int,
-        private_cache: Optional[SetAssociativeCache],
-        write: bool,
-        stats: Optional[TransferStats] = None,
-    ) -> Tuple[float, TransferStats]:
         if stats is None:
             stats = TransferStats()
-        finish = now
-        burst_bytes = max(int(burst_bytes), self.line_bytes)
-        for segment in segments:
-            if segment.size <= 0:
-                continue
-            if mode is CoherenceMode.NON_COH_DMA:
-                seg_finish = self._transfer_non_coherent(now, acc_tile, segment, burst_bytes, write, stats)
-            elif mode in (CoherenceMode.LLC_COH_DMA, CoherenceMode.COH_DMA):
-                seg_finish = self._transfer_llc(now, acc_tile, segment, burst_bytes, write, mode, stats)
-            elif mode is CoherenceMode.FULL_COH:
-                if private_cache is None:
-                    raise CoherenceError(
-                        f"accelerator tile {acc_tile} has no private cache but was "
-                        "asked to run fully coherent"
-                    )
-                seg_finish = self._transfer_fully_coherent(
-                    now, acc_tile, segment, write, private_cache, stats
-                )
-            else:  # pragma: no cover - exhaustive over the enum
-                raise CoherenceError(f"unsupported coherence mode {mode}")
-            if seg_finish > finish:
-                finish = seg_finish
-            stats.bytes_moved += segment.size
-        return finish, stats
+        transfer = self.plan(acc_tile, mode, burst_bytes, private_cache)
+        return transfer(now, segments, True, stats), stats
 
-    # ------------------------------------------------------------------
-    def _bursts(self, nbytes: int, burst_bytes: int) -> int:
-        return max(1, math.ceil(nbytes / burst_bytes))
-
-    def _acc_link_time(self, now: float, acc_tile: str, nbytes: float) -> float:
-        """Time for the accelerator's own DMA engine to move ``nbytes``."""
-        link = self._acc_links.get(acc_tile)
-        if link is None or nbytes <= 0:
-            return now
-        return link.serve(now, nbytes)
-
-    def _transfer_non_coherent(
+    def plan(
         self,
-        now: float,
         acc_tile: str,
-        segment: BufferSegment,
-        burst_bytes: int,
-        write: bool,
-        stats: TransferStats,
-    ) -> float:
-        """Direct DRAM access, bypassing the cache hierarchy."""
-        mem_tile = segment.mem_tile
-        dram = self._dram_controllers[mem_tile]
-        bursts = self._bursts(segment.size, burst_bytes)
-        if write:
-            t_dram = dram.write(now, segment.size, bursts=bursts)
-            stats.dram_write_lines += bytes_to_lines(segment.size, self.line_bytes)
-        else:
-            t_dram = dram.read(now, segment.size, bursts=bursts)
-            stats.dram_read_lines += bytes_to_lines(segment.size, self.line_bytes)
-        t_noc = self.soc.noc.transfer(
-            now, acc_tile, mem_tile, self._mem_names[mem_tile], segment.size
-        )
-        t_acc = self._acc_link_time(now, acc_tile, segment.size)
-        overhead = bursts * self.timing.dma_burst_overhead_cycles
-        finish = t_dram
-        if t_noc > finish:
-            finish = t_noc
-        if t_acc > finish:
-            finish = t_acc
-        return finish + overhead
-
-    def _transfer_llc(
-        self,
-        now: float,
-        acc_tile: str,
-        segment: BufferSegment,
-        burst_bytes: int,
-        write: bool,
         mode: CoherenceMode,
-        stats: TransferStats,
-    ) -> float:
+        burst_bytes: int,
+        private_cache: Optional[SetAssociativeCache] = None,
+    ) -> Transfer:
+        """Resolve an accelerator's DMA path under ``mode``; return its transfer loop.
+
+        Everything the mode's cost model needs that stays fixed for an
+        invocation is looked up here, once: the effective burst size, the
+        per-burst overhead, the accelerator's link, the NoC, and each memory
+        tile's DRAM controller, LLC partition and name.  The returned
+        ``transfer(now, segments, write, stats)`` issues every segment
+        ``(mem_tile, start, size)`` of one DMA piece at ``now``, adds the
+        traffic to ``stats`` in place, and returns when the last segment
+        finishes.  A plan belongs to this SoC; the executor builds one per
+        invocation.
+        """
+        if mode is CoherenceMode.NON_COH_DMA:
+            return self._plan_non_coherent(acc_tile, burst_bytes)
+        if mode is CoherenceMode.LLC_COH_DMA or mode is CoherenceMode.COH_DMA:
+            return self._plan_llc(acc_tile, burst_bytes, mode is CoherenceMode.COH_DMA)
+        if mode is CoherenceMode.FULL_COH:
+            if private_cache is None:
+                raise CoherenceError(
+                    f"accelerator tile {acc_tile} has no private cache but was "
+                    "asked to run fully coherent"
+                )
+            return self._plan_fully_coherent(acc_tile, private_cache)
+        raise CoherenceError(f"unsupported coherence mode {mode}")  # pragma: no cover
+
+    def _plan_non_coherent(self, acc_tile: str, burst_bytes: int) -> Transfer:
+        """Direct DRAM access, bypassing the cache hierarchy."""
+        memories = self._memories
+        noc = self.soc.noc
+        link = self._acc_links.get(acc_tile)
+        line_bytes = self.line_bytes
+        burst_bytes = max(int(burst_bytes), line_bytes)
+        burst_overhead = self.timing.dma_burst_overhead_cycles
+
+        def transfer(now, segments, write, stats):
+            finish = now
+            for mem_tile, start, size in segments:
+                if size <= 0:
+                    continue
+                dram, _cache, _port, name = memories[mem_tile]
+                bursts = -(-size // burst_bytes)
+                if write:
+                    done = dram.write(now, size, bursts=bursts)
+                    stats.dram_write_lines += -(-size // line_bytes)
+                else:
+                    done = dram.read(now, size, bursts=bursts)
+                    stats.dram_read_lines += -(-size // line_bytes)
+                t_noc = noc.transfer(now, acc_tile, mem_tile, name, size)
+                if t_noc > done:
+                    done = t_noc
+                if link is not None:
+                    t_acc = link.serve(now, size)
+                    if t_acc > done:
+                        done = t_acc
+                done += bursts * burst_overhead
+                if done > finish:
+                    finish = done
+                stats.bytes_moved += size
+            return finish
+
+        return transfer
+
+    def _plan_llc(self, acc_tile: str, burst_bytes: int, coherent: bool) -> Transfer:
         """LLC-coherent or coherent DMA: requests served by the LLC partition."""
-        mem_tile = segment.mem_tile
-        partition = self._llc_partitions[mem_tile]
-        dram = self._dram_controllers[mem_tile]
-        bursts = self._bursts(segment.size, burst_bytes)
+        memories = self._memories
+        noc = self.soc.noc
+        link = self._acc_links.get(acc_tile)
+        line_bytes = self.line_bytes
+        burst_bytes = max(int(burst_bytes), line_bytes)
+        burst_overhead = self.timing.dma_burst_overhead_cycles
+        coalesce_bytes = self.LLC_MISS_COALESCE_BYTES
+        recall = self._recall_from_private_caches
+        recall_targets = self.soc.private_caches_excluding(acc_tile)
+        # Coherent-DMA requests keep the LLC pipeline busy longer per
+        # datum (directory lookups and recalls).
+        port_factor = self.timing.coh_dma_port_factor if coherent else 1
 
-        recall_extra = 0.0
-        if mode is CoherenceMode.COH_DMA:
-            recall_extra = self._recall_from_private_caches(now, acc_tile, segment, write, stats)
+        def transfer(now, segments, write, stats):
+            finish = now
+            for mem_tile, start, size in segments:
+                if size <= 0:
+                    continue
+                dram, cache, port, name = memories[mem_tile]
+                bursts = -(-size // burst_bytes)
+                recall_extra = 0.0
+                if coherent:
+                    recall_extra = recall(recall_targets, cache, start, size, write, stats)
+                result = cache.access_range(start, size, write=write)
+                misses = result.misses
+                stats.llc_hits += result.hits
+                stats.llc_misses += misses
+                t_dram = now
+                if misses and not write:
+                    # Read misses must be fetched from DRAM before being forwarded.
+                    miss_bytes = misses * line_bytes
+                    t_dram = dram.read(now, miss_bytes, bursts=-(-miss_bytes // coalesce_bytes))
+                    stats.dram_read_lines += misses
+                writebacks = len(result.evicted_dirty)
+                if writebacks:
+                    # Dirty victims evicted by the fills are written back off-chip.
+                    dram.write_back(now, writebacks)
+                    stats.dram_write_lines += writebacks
+                done = port.serve(now, size * port_factor)
+                t_noc = noc.transfer(now, acc_tile, mem_tile, name, size)
+                if t_dram > done:
+                    done = t_dram
+                if t_noc > done:
+                    done = t_noc
+                if link is not None:
+                    t_acc = link.serve(now, size)
+                    if t_acc > done:
+                        done = t_acc
+                done = done + bursts * burst_overhead + recall_extra
+                if done > finish:
+                    finish = done
+                stats.bytes_moved += size
+            return finish
 
-        result = partition.lookup_range(segment.start, segment.size, write=write)
-        stats.llc_hits += result.hits
-        stats.llc_misses += result.misses
-
-        t_dram = now
-        if not write and result.misses:
-            # Read misses must be fetched from DRAM before being forwarded.
-            miss_bytes = result.misses * self.line_bytes
-            dram_bursts = max(1, math.ceil(miss_bytes / self.LLC_MISS_COALESCE_BYTES))
-            t_dram = dram.read(now, miss_bytes, bursts=dram_bursts)
-            stats.dram_read_lines += result.misses
-        if result.writeback_lines:
-            # Dirty victims evicted by the fills are written back off-chip.
-            dram.write_back(now, result.writeback_lines)
-            stats.dram_write_lines += result.writeback_lines
-
-        port_bytes = segment.size
-        if mode is CoherenceMode.COH_DMA:
-            # Coherent-DMA requests keep the LLC pipeline busy longer per
-            # datum (directory lookups and recalls).
-            port_bytes = segment.size * self.timing.coh_dma_port_factor
-        t_llc = partition.serve_port(now, port_bytes)
-        t_noc = self.soc.noc.transfer(
-            now, acc_tile, mem_tile, self._mem_names[mem_tile], segment.size
-        )
-        t_acc = self._acc_link_time(now, acc_tile, segment.size)
-        overhead = bursts * self.timing.dma_burst_overhead_cycles
-        finish = t_llc
-        if t_dram > finish:
-            finish = t_dram
-        if t_noc > finish:
-            finish = t_noc
-        if t_acc > finish:
-            finish = t_acc
-        return finish + overhead + recall_extra
+        return transfer
 
     def _recall_from_private_caches(
         self,
-        now: float,
-        acc_tile: str,
-        segment: BufferSegment,
+        targets: Sequence[SetAssociativeCache],
+        llc: SetAssociativeCache,
+        start: int,
+        size: int,
         write: bool,
         stats: TransferStats,
     ) -> float:
         """Recall/invalidate lines held by private caches (coherent DMA)."""
-        partition = self._llc_partitions[segment.mem_tile]
         recall_count = 0
         line_bytes = self.line_bytes
-        for cache in self.soc.private_caches_excluding(acc_tile):
-            resident = cache.resident_lines_within(segment.start, segment.size)
+        for cache in targets:
+            resident = cache.resident_lines_within(start, size)
             if not resident:
                 continue
             recall = cache.recall_line
@@ -438,81 +437,88 @@ class Datapath:
                 if recall(line_addr) and not write:
                     # Recalled dirty data is merged into the LLC so the DMA
                     # reads the fresh copy.
-                    partition.cache.install_range(line_addr, line_bytes, dirty=True)
+                    llc.install_range(line_addr, line_bytes, dirty=True)
         stats.recalls += recall_count
         return recall_count * self.timing.recall_cycles_per_line
 
-    def _transfer_fully_coherent(
-        self,
-        now: float,
-        acc_tile: str,
-        segment: BufferSegment,
-        write: bool,
-        private_cache: SetAssociativeCache,
-        stats: TransferStats,
-    ) -> float:
+    def _plan_fully_coherent(
+        self, acc_tile: str, private_cache: SetAssociativeCache
+    ) -> Transfer:
         """Fully-coherent access through the accelerator's private cache."""
-        mem_tile = segment.mem_tile
-        partition = self._llc_partitions[mem_tile]
-        dram = self._dram_controllers[mem_tile]
-        line = self.line_bytes
+        memories = self._memories
+        noc = self.soc.noc
+        link = self._acc_links.get(acc_tile)
+        line_bytes = self.line_bytes
+        coalesce_bytes = self.LLC_MISS_COALESCE_BYTES
+        timing = self.timing
+        l2_hit_cycles = timing.l2_hit_cycles
+        l2_bytes_per_cycle = timing.l2_bytes_per_cycle
+        port_factor = timing.full_coh_port_factor
+        protocol_line_bytes = self.PROTOCOL_LINE_BYTES
+        line_overhead_cycles = timing.full_coh_line_overhead_cycles
+        access_line_run = private_cache.access_line_run
 
-        private_hits, private_misses, miss_lines, evicted_dirty = (
-            private_cache.access_line_run(segment.start, segment.size, write=write)
-        )
-        stats.private_hits += private_hits
-        stats.private_misses += private_misses
+        def transfer(now, segments, write, stats):
+            finish = now
+            for mem_tile, start, size in segments:
+                if size <= 0:
+                    continue
+                dram, cache, port, name = memories[mem_tile]
+                private_hits, private_misses, miss_lines, evicted_dirty = access_line_run(
+                    start, size, write=write
+                )
+                stats.private_hits += private_hits
+                stats.private_misses += private_misses
 
-        # Local time for the hits (and for installing write data locally).
-        total_lines = private_hits + private_misses
-        local_bytes = total_lines * line
-        local_time = (
-            self.timing.l2_hit_cycles + local_bytes / self.timing.l2_bytes_per_cycle
-            if total_lines
-            else 0.0
-        )
+                # Local time for the hits (and for installing write data locally).
+                total_lines = private_hits + private_misses
+                local_time = (
+                    l2_hit_cycles + total_lines * line_bytes / l2_bytes_per_cycle
+                    if total_lines
+                    else 0.0
+                )
 
-        # Every private-cache miss fetches the line from the LLC (and DRAM
-        # below it): read misses need the data, and write misses perform a
-        # read-for-ownership because a MESI cache allocates the full line
-        # before modifying it — one of the structural disadvantages of the
-        # fully-coherent mode for streaming writes compared to DMA modes.
-        llc_hits, llc_misses, llc_evicted_dirty = partition.cache.access_lines(
-            miss_lines, write=False
-        )
-        fetch_lines = len(miss_lines)
-        # Dirty victims of the private cache are written back to the LLC.
-        _wb_hits, _wb_misses, wb_evicted_dirty = partition.cache.access_lines(
-            evicted_dirty, write=True
-        )
-        llc_evicted_dirty += wb_evicted_dirty
-        stats.llc_hits += llc_hits
-        stats.llc_misses += llc_misses
+                # Every private-cache miss fetches the line from the LLC (and
+                # DRAM below it): read misses need the data, and write misses
+                # perform a read-for-ownership because a MESI cache allocates
+                # the full line before modifying it — one of the structural
+                # disadvantages of the fully-coherent mode for streaming
+                # writes compared to DMA modes.
+                llc_hits, llc_misses, llc_evicted_dirty = cache.access_lines(
+                    miss_lines, write=False
+                )
+                # Dirty victims of the private cache are written back to the LLC.
+                _hits, _misses, wb_evicted_dirty = cache.access_lines(evicted_dirty, write=True)
+                llc_evicted_dirty += wb_evicted_dirty
+                stats.llc_hits += llc_hits
+                stats.llc_misses += llc_misses
 
-        t_dram = now
-        if llc_misses:
-            miss_bytes = llc_misses * line
-            dram_bursts = max(1, math.ceil(miss_bytes / self.LLC_MISS_COALESCE_BYTES))
-            t_dram = dram.read(now, miss_bytes, bursts=dram_bursts)
-            stats.dram_read_lines += llc_misses
-        if llc_evicted_dirty:
-            dram.write_back(now, llc_evicted_dirty)
-            stats.dram_write_lines += llc_evicted_dirty
+                t_dram = now
+                if llc_misses:
+                    miss_bytes = llc_misses * line_bytes
+                    t_dram = dram.read(now, miss_bytes, bursts=-(-miss_bytes // coalesce_bytes))
+                    stats.dram_read_lines += llc_misses
+                if llc_evicted_dirty:
+                    dram.write_back(now, llc_evicted_dirty)
+                    stats.dram_write_lines += llc_evicted_dirty
 
-        noc_bytes = (fetch_lines + len(evicted_dirty)) * line
-        port_bytes = noc_bytes * self.timing.full_coh_port_factor
-        t_llc = partition.serve_port(now, port_bytes) if noc_bytes else now
-        t_noc = (
-            self.soc.noc.transfer(
-                now, acc_tile, mem_tile, self._mem_names[mem_tile], noc_bytes
-            )
-            if noc_bytes
-            else now
-        )
-        t_acc = self._acc_link_time(now, acc_tile, noc_bytes)
-        # The fully-coherent miss path issues one protocol request per
-        # physical cache line; the overhead scales with the data volume, not
-        # with the (possibly coarser) modelling granularity.
-        miss_protocol_lines = private_misses * line / self.PROTOCOL_LINE_BYTES
-        line_overhead = miss_protocol_lines * self.timing.full_coh_line_overhead_cycles
-        return max(now + local_time, t_llc, t_dram, t_noc, t_acc) + line_overhead
+                noc_bytes = (len(miss_lines) + len(evicted_dirty)) * line_bytes
+                t_llc = t_noc = t_acc = now
+                if noc_bytes:
+                    t_llc = port.serve(now, noc_bytes * port_factor)
+                    t_noc = noc.transfer(now, acc_tile, mem_tile, name, noc_bytes)
+                    if link is not None:
+                        t_acc = link.serve(now, noc_bytes)
+                # The fully-coherent miss path issues one protocol request per
+                # physical cache line; the overhead scales with the data
+                # volume, not with the (possibly coarser) modelling granularity.
+                miss_protocol_lines = private_misses * line_bytes / protocol_line_bytes
+                done = max(now + local_time, t_llc, t_dram, t_noc, t_acc) + (
+                    miss_protocol_lines * line_overhead_cycles
+                )
+                if done > finish:
+                    finish = done
+                stats.bytes_moved += size
+            return finish
+
+        return transfer
