@@ -130,10 +130,6 @@ class AcceleratorDescriptor:
         return max(1, math.ceil(total / self.burst_bytes))
 
     # ------------------------------------------------------------------
-    def is_compute_bound(self) -> bool:
-        """Rough classification used in documentation and tests."""
-        return self.compute_cycles_per_byte >= 8.0
-
     def with_overrides(self, **overrides: object) -> "AcceleratorDescriptor":
         """Return a copy with some fields replaced (runtime configurability)."""
         return replace(self, **overrides)

@@ -12,7 +12,7 @@ reward also penalises off-chip accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.accelerators.invocation import InvocationResult
 from repro.errors import ExperimentError
@@ -86,10 +86,6 @@ class BreakdownResult:
     setup_name: str
     breakdowns: Dict[str, DecisionBreakdown]
     evaluations: Dict[str, PolicyEvaluation]
-
-    def non_coherent_reliance(self, policy_name: str) -> float:
-        """Overall fraction of invocations run non-coherently by a policy."""
-        return self.breakdowns[policy_name].frequency("All", "non-coh-dma")
 
 
 def run_breakdown_experiment(

@@ -13,7 +13,7 @@ decaying epsilon/alpha, freeze, and evaluate on a different instance.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.accelerators.descriptor import AccessPattern, AcceleratorDescriptor
@@ -82,10 +82,6 @@ class ExperimentSetup:
     def accelerator_names(self) -> List[str]:
         """Distinct accelerator names available in this setup."""
         return sorted({descriptor.name for descriptor in self.accelerators})
-
-    def with_config(self, soc_config: SoCConfig) -> "ExperimentSetup":
-        """Return a copy of this setup targeting a different SoC config."""
-        return replace(self, soc_config=soc_config)
 
 
 def build_runtime(

@@ -33,7 +33,6 @@ from repro.soc.config import soc_preset
 from repro.utils.stats import geometric_mean
 from repro.workloads.case_studies import case_study_accelerators, case_study_application
 from repro.workloads.generator import ApplicationGenerator, GeneratorConfig
-from repro.workloads.spec import ApplicationSpec
 
 #: The eight SoC configurations of Figure 9.
 FIGURE9_SOC_LABELS = (
@@ -71,14 +70,6 @@ class SocComparisonResult:
             point.policy_name: point
             for point in self.points
             if point.soc_label == soc_label
-        }
-
-    def for_policy(self, policy_name: str) -> Dict[str, SocComparisonPoint]:
-        """Points of one policy keyed by SoC label."""
-        return {
-            point.soc_label: point
-            for point in self.points
-            if point.policy_name == policy_name
         }
 
 
@@ -201,8 +192,3 @@ def run_soc_comparison(
                 )
             )
     return SocComparisonResult(points=points, evaluations=evaluations_per_soc)
-
-
-def build_case_study_application(label: str, instance: int = 0) -> ApplicationSpec:
-    """Convenience re-export used by the examples and tests."""
-    return case_study_application(label, instance=instance)

@@ -4,9 +4,10 @@ The subsystem has five layers plus a CLI:
 
 * :mod:`repro.experiments.sweep.sweep` — declarative :class:`SweepSpec` /
   :class:`Job` grids with stable fingerprints and per-job RNG derivation;
-* :mod:`repro.experiments.sweep.backends` — pluggable
-  :class:`ExecutionBackend` implementations (serial, process pool, thread
-  pool, batched dispatch) behind one incremental-completion contract;
+* :mod:`repro.experiments.sweep.backends` — the serial reference and
+  the process pool (:class:`BatchBackend`, one lease of jobs per
+  round-trip) behind one incremental-completion
+  :class:`ExecutionBackend` contract;
 * :mod:`repro.experiments.sweep.distributed` — the coordinator/worker
   execution layer (:class:`DistributedBackend`) serving work leases over
   HTTP to pull workers on other hosts;
@@ -21,8 +22,8 @@ The subsystem has five layers plus a CLI:
   checkpointed sweep manifests, deterministic fingerprint sharding, and
   the validated ``merge-shards`` fusion they enable;
 * :mod:`repro.experiments.sweep.cli` — ``python -m repro.experiments`` to
-  run any figure by name with ``--workers`` / ``--backend`` / ``--cache-dir``
-  / ``--resume`` / ``--shard``, plus the ``merge-shards`` subcommand.
+  run any figure by name with ``--workers`` / ``--cache-dir`` /
+  ``--resume`` / ``--shard``, plus the ``merge-shards`` subcommand.
 """
 
 from repro.experiments.sweep.backends import (

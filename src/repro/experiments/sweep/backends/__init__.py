@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the sweep runner.
+"""Execution backends for the sweep runner.
 
 The package exposes a tiny registry mapping stable names to
 :class:`~repro.experiments.sweep.backends.base.ExecutionBackend`
@@ -6,12 +6,11 @@ implementations:
 
 ========== =========================================================
 ``serial``  one job after another in the calling process (reference)
-``process`` a ``multiprocessing`` pool with a warned serial fallback
-``thread``  a ``concurrent.futures`` thread pool
-``batch``   the process pool, dispatching job *groups* per round-trip
+``batch``   the process pool, dispatching one lease of jobs per round-trip
 ========== =========================================================
 
-The distributed coordinator backend
+The worker count picks between them: one worker runs serially, more
+run on the pool.  The distributed coordinator backend
 (:class:`~repro.experiments.sweep.distributed.DistributedBackend`) also
 implements the protocol but is not name-registered — it needs host/port
 configuration, so it is constructed explicitly (or via the
@@ -30,17 +29,14 @@ from typing import Dict, Optional, Tuple, Type, Union
 from repro.errors import SweepError
 from repro.experiments.sweep.backends.base import ExecutionBackend, ResultCallback
 from repro.experiments.sweep.backends.batch import BatchBackend
-from repro.experiments.sweep.backends.process import ProcessPoolBackend
 from repro.experiments.sweep.backends.serial import SerialBackend
-from repro.experiments.sweep.backends.thread import ThreadPoolBackend
 
 #: Registered backend classes, keyed by their stable names.
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
-    backend.name: backend
-    for backend in (SerialBackend, ProcessPoolBackend, ThreadPoolBackend, BatchBackend)
+    backend.name: backend for backend in (SerialBackend, BatchBackend)
 }
 
-#: Backend names in stable (sorted) order, for CLI choices and docs.
+#: Backend names in stable (sorted) order.
 BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(BACKENDS))
 
 
@@ -54,22 +50,19 @@ def create_backend(
     ``None`` selects the default policy: the process pool when more than
     one worker is requested, otherwise serial.  A string is looked up in
     the registry; an :class:`ExecutionBackend` instance passes through.
-    ``jobs_per_lease`` configures lease granularity for backends that
-    batch dispatch (currently ``batch``); others ignore it.
+    ``jobs_per_lease`` sets the pool's lease size; serial ignores it.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
     if spec is None:
-        return ProcessPoolBackend() if workers > 1 else SerialBackend()
-    try:
-        cls = BACKENDS[spec]
-    except KeyError:
-        raise SweepError(
-            f"unknown execution backend {spec!r}; choose from {', '.join(BACKEND_NAMES)}"
-        ) from None
-    if cls is BatchBackend:
+        spec = BatchBackend.name if workers > 1 else SerialBackend.name
+    if spec == BatchBackend.name:
         return BatchBackend(jobs_per_lease=jobs_per_lease)
-    return cls()
+    if spec == SerialBackend.name:
+        return SerialBackend()
+    raise SweepError(
+        f"unknown execution backend {spec!r}; choose from {', '.join(BACKEND_NAMES)}"
+    )
 
 
 __all__ = [
@@ -77,9 +70,7 @@ __all__ = [
     "BACKEND_NAMES",
     "BatchBackend",
     "ExecutionBackend",
-    "ProcessPoolBackend",
     "ResultCallback",
     "SerialBackend",
-    "ThreadPoolBackend",
     "create_backend",
 ]

@@ -2,13 +2,13 @@
 
 A backend is a *strategy for executing pending jobs*: it receives the jobs
 that survived cache and manifest filtering, runs them in whatever execution
-domain it manages (in-process, a process pool, a thread pool, ...), and
+domain it manages (in-process, a process pool, remote workers), and
 reports each completed job through a callback **from the caller's thread of
 control**.  That last point is the checkpointing contract: because
 ``on_result`` fires incrementally as jobs finish — not in one batch at the
 end — the runner can persist every payload to the result cache and the
 sweep manifest the moment it exists, so an interrupted sweep loses at most
-the jobs that were in flight.
+the leases that were in flight (a serial run's lease is one job).
 
 Backends never touch the cache or the manifest themselves, and they never
 reorder or filter the results semantically: every job in ``jobs`` must be
@@ -33,9 +33,9 @@ ResultCallback = Callable[[Job, Dict[str, object]], None]
 class ExecutionBackend(ABC):
     """Strategy interface for executing the pending jobs of one sweep.
 
-    Subclasses set :attr:`name` (the registry key and the ``--backend``
-    CLI value) and implement :meth:`run`.  Instances are stateless between
-    :meth:`run` calls and may be reused across specs.
+    Subclasses set :attr:`name` (the registry key) and implement
+    :meth:`run`.  Instances are stateless between :meth:`run` calls and
+    may be reused across specs.
     """
 
     #: Registry key; subclasses override with a short stable identifier.

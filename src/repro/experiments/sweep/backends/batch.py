@@ -1,24 +1,27 @@
-"""Batched multiprocessing dispatch: job *groups* per worker round-trip.
+"""The process pool: one lease of jobs per worker round-trip.
 
-The plain process backend pays one pickle/unpickle/IPC round-trip per
-job, which dominates wall clock on grids of many short jobs — the
-committed scaling benchmark recorded a 0.96x "speedup" at 2 workers for
-exactly this reason.  :class:`BatchBackend` fixes the dispatch economics
-without touching the determinism contract:
+This is the backend behind ``--workers N`` (N > 1).
+:class:`BatchBackend` pays the pickle/unpickle/IPC round-trip per lease
+instead of per job, without touching the determinism contract:
 
 * jobs are grouped into leases by
-  :func:`~repro.experiments.sweep.shard.lease_partition` — the same
-  deterministic fingerprint-hash assignment shards use, so the grouping
-  never depends on grid order or machine;
-* each pool task executes one whole group and returns its results as one
+  :func:`~repro.experiments.sweep.shard.lease_partition` — exact runs of
+  ``jobs_per_lease`` jobs in fingerprint order, so the grouping never
+  depends on grid order or machine — and the leases are dispatched in the
+  grid order of their first job;
+* each pool task executes one whole lease and returns its results as one
   vector of ``(key, payload)`` pairs, so pickling overhead (including
-  parameter objects shared across a group, which the pickler memoizes
+  parameter objects shared across a lease, which the pickler memoizes
   once per lease instead of once per job) and pool round-trips are paid
   per *lease*, not per job;
 * completions are still reported incrementally on the calling thread —
-  one lease at a time — so the runner's cache/manifest checkpointing
-  contract is unchanged, and payloads stay bit-identical to serial
-  execution because job randomness derives from job fingerprints.
+  one lease at a time — so the runner checkpoints each lease to the
+  cache and manifest as soon as it returns, and payloads stay
+  bit-identical to serial execution because job randomness derives from
+  job fingerprints;
+* when no pool can be created (no ``fork``/semaphore support, or the
+  runner is already inside a daemonic worker) the backend degrades to
+  serial execution with a warning.
 
 ``jobs_per_lease`` trades checkpoint granularity against dispatch
 overhead; the default aims at a few leases per worker so the pool stays
@@ -53,12 +56,11 @@ def default_jobs_per_lease(job_count: int, workers: int) -> int:
 
 
 class BatchBackend(ExecutionBackend):
-    """Fans job *groups* out over a ``multiprocessing`` pool.
+    """Fans leases of jobs out over a ``multiprocessing`` pool.
 
-    Identical contract to the process backend — every pending job
-    executed exactly once, incremental completions on the calling
-    thread, warned serial fallback when no pool can be created — but
-    dispatch and result collection are vectorized per lease.
+    Results are consumed in completion order in the parent process, so
+    ``on_result`` (and therefore every cache/manifest write) runs in the
+    parent only — workers never see the cache.
     """
 
     name = "batch"
@@ -84,7 +86,15 @@ class BatchBackend(ExecutionBackend):
             if self.jobs_per_lease is not None
             else default_jobs_per_lease(len(jobs), workers)
         )
-        groups = lease_partition(jobs, per_lease)
+        # Dispatch leases in the grid order of their first job.  With one
+        # job per lease the pool then starts jobs in grid order, as serial
+        # execution does, so a grid that lists its longest jobs first (the
+        # Figure 9 grid does) keeps them first.
+        position = {job.key: index for index, job in enumerate(jobs)}
+        leases = sorted(
+            lease_partition(jobs, per_lease),
+            key=lambda lease: min(position[job.key] for job in lease),
+        )
         try:
             pool = multiprocessing.get_context().Pool(processes=workers)
         except Exception as exc:  # daemonic nesting, missing sem_open, ...
@@ -98,7 +108,7 @@ class BatchBackend(ExecutionBackend):
         by_key = {job.key: job for job in jobs}
         try:
             with pool:
-                for results in pool.imap_unordered(_execute_batch, groups):
+                for results in pool.imap_unordered(_execute_batch, leases):
                     for key, payload in results:
                         on_result(by_key[key], payload)
         finally:

@@ -11,8 +11,8 @@ from repro.experiments.sweep.sweep import Job
 def execute_job(job: Job) -> Dict[str, object]:
     """Run one job in the current process and return its payload.
 
-    Module-level so the process-pool backend can reuse it as its worker
-    entry point (the function must be picklable by dotted path).
+    Module-level so the process pool can call it in its workers (the
+    function must be picklable by dotted path).
     """
     return job.execute()
 

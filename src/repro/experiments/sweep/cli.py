@@ -10,7 +10,7 @@ Examples
     python -m repro.experiments socs --shard 2/3          # one slice of the grid
     python -m repro.experiments merge-shards --cache-dir .sweep-cache
     python -m repro.experiments socs --resume             # continue a killed run
-    python -m repro.experiments socs --backend batch --jobs-per-lease 8
+    python -m repro.experiments socs --workers 4 --jobs-per-lease 8
     python -m repro.experiments coordinate socs --port 8733
     python -m repro.experiments.sweep worker --coordinator http://host:8733
 
@@ -410,7 +410,6 @@ def _main_worker(argv: List[str], out: TextIO) -> int:
     args = build_worker_parser().parse_args(argv)
     return run_worker(
         args.coordinator,
-        backend=args.backend,
         workers=args.workers if args.workers is not None else 1,
         poll=args.poll,
         grace=args.grace,
@@ -423,13 +422,6 @@ def _main_coordinate(argv: List[str], out: TextIO) -> int:
     from repro.experiments.sweep.distributed import DistributedBackend
 
     args = build_coordinate_parser().parse_args(argv)
-    if args.backend != "auto":
-        print(
-            "error: coordinate always uses the distributed backend; "
-            "workers choose their own --backend",
-            file=out,
-        )
-        return 2
     try:
         config = RunConfig.from_args(args)
     except SweepError as exc:

@@ -12,8 +12,8 @@ flags.  Now there is exactly one source of truth, used three ways:
 * ``SweepRunner(config=RunConfig(...))`` — the programmatic API, and the
   only way to configure a runner;
 * :func:`add_runner_arguments` — registers the shared CLI flag set
-  (``--workers/--cache-dir/--no-cache/--backend/--manifest-dir/--resume/
-  --shard/--jobs-per-lease``) on any argparse parser, so
+  (``--workers/--cache-dir/--no-cache/--manifest-dir/--resume/--shard/
+  --jobs-per-lease``) on any argparse parser, so
   ``python -m repro.experiments``, ``python -m repro.scenarios run``,
   ``python -m repro.models train/eval``, and the distributed
   ``worker``/``coordinate`` subcommands behave identically;
@@ -60,7 +60,7 @@ class RunConfig:
         Optional :class:`ResultCache`; payloads are looked up before
         execution and written as each job completes.
     backend:
-        ``None`` (process pool when ``workers > 1``, else serial), a
+        ``None`` (the process pool when ``workers > 1``, else serial), a
         registered backend name (see
         :data:`~repro.experiments.sweep.backends.BACKEND_NAMES`), or an
         :class:`~repro.experiments.sweep.backends.ExecutionBackend`
@@ -76,9 +76,9 @@ class RunConfig:
     shard:
         Execute only the grid slice this :class:`ShardSpec` owns.
     jobs_per_lease:
-        Lease granularity for the batch and distributed backends: how
-        many jobs travel per worker round-trip.  ``None`` lets each
-        backend pick its own default; other backends ignore it.
+        Lease granularity for the process pool and the distributed
+        backend: how many jobs travel per worker round-trip.  ``None``
+        lets each backend pick its own default; serial ignores it.
     """
 
     workers: Optional[int] = 1
@@ -109,12 +109,12 @@ class RunConfig:
         """Build a validated config from :func:`add_runner_arguments` flags.
 
         Applies the shared defaulting rules: ``--workers`` falls back to
-        one worker per CPU, the manifest directory falls back to
-        ``<cache-dir>/manifests`` whenever the cache is enabled, and
-        ``--backend auto`` maps to ``None`` (the runner's default
-        policy).  Flags a particular parser chose not to register are
-        treated as their defaults, so every front end can share this one
-        constructor.
+        one worker per CPU, and the manifest directory falls back to
+        ``<cache-dir>/manifests`` whenever the cache is enabled.  The
+        backend is left to the runner's default policy, which the worker
+        count decides.  Flags a particular parser chose not to register
+        are treated as their defaults, so every front end can share this
+        one constructor.
         """
         no_cache = bool(getattr(args, "no_cache", False))
         cache_dir = getattr(args, "cache_dir", None)
@@ -130,12 +130,10 @@ class RunConfig:
             manifest_dir = Path(manifest_dir)
         elif cache is not None:
             manifest_dir = Path(cache_dir) / "manifests"
-        backend = getattr(args, "backend", "auto")
         workers = getattr(args, "workers", None)
         return cls(
             workers=workers if workers is not None else autodetect_workers(),
             cache=cache,
-            backend=None if backend in (None, "auto") else backend,
             manifest_dir=manifest_dir,
             resume=resume,
             shard=shard,
@@ -182,20 +180,13 @@ def add_runner_arguments(
     distributed worker, for example, never touches disk and therefore
     takes no cache/manifest/shard flags) without redefining the rest.
     """
-    from repro.experiments.sweep.backends import BACKEND_NAMES
-
     parser.add_argument(
         "--workers",
         type=positive_int,
         default=None,
         metavar="N",
-        help="worker processes (default: one per CPU; 1 = serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto",) + BACKEND_NAMES,
-        default="auto",
-        help="execution backend (default: process pool when workers > 1)",
+        help="worker processes (default: one per CPU; 1 = serial, "
+        "more = a process pool)",
     )
     if cache:
         parser.add_argument(
@@ -237,8 +228,8 @@ def add_runner_arguments(
             type=positive_int,
             default=None,
             metavar="N",
-            help="jobs per lease for the batch/distributed backends "
-            "(default: backend-specific)",
+            help="jobs per lease for the process pool and the distributed "
+            "backend (default: backend-specific)",
         )
 
 

@@ -8,9 +8,9 @@ across machine boundaries with nothing but the standard library:
   contract: versioned documents, typed error envelopes, and the
   fingerprint-verified job/result encodings;
 * :mod:`~repro.experiments.sweep.distributed.lease` — the pure-logic
-  lease board: deterministic fingerprint-hash grouping of jobs into
-  leases, expiry + reassignment, and idempotent digest-checked
-  completion;
+  lease board: deterministic, exact grouping of jobs into leases in
+  fingerprint order, expiry + reassignment, and idempotent
+  digest-checked completion;
 * :mod:`~repro.experiments.sweep.distributed.coordinator` —
   :class:`DistributedBackend`, an asyncio HTTP coordinator (same
   hand-rolled keep-alive transport idiom as :mod:`repro.serving`) that

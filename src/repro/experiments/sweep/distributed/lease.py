@@ -4,9 +4,9 @@ A *lease* is a group of jobs handed to one worker for one round-trip.
 The board is built once per sweep from the pending job list:
 
 * grouping uses
-  :func:`~repro.experiments.sweep.shard.lease_partition` — the shard
-  machinery's fingerprint-hash assignment — so the lease layout is a
-  pure function of the grid, identical on every coordinator;
+  :func:`~repro.experiments.sweep.shard.lease_partition` — exact runs of
+  ``jobs_per_lease`` jobs in fingerprint order — so the lease layout is
+  a pure function of the grid, identical on every coordinator;
 * an acquired lease carries a **deadline**; if the worker neither
   completes nor returns it in time (killed mid-lease, network gone),
   :meth:`LeaseBoard.expire` moves it back to the pending queue and the
@@ -69,7 +69,7 @@ class LeaseBoard:
     jobs:
         The pending jobs of the sweep, in grid order.
     jobs_per_lease:
-        Target lease size (see
+        Jobs per lease; only the last lease may hold fewer (see
         :func:`~repro.experiments.sweep.shard.lease_partition`).
     lease_timeout:
         Seconds a worker may hold a lease before it is reclaimable.

@@ -13,8 +13,8 @@ Lifecycle:
   grace period, so workers can be launched before the coordinator
   binds its socket (the natural order in CI scripts);
 * **while connected** it pulls one lease at a time over a keep-alive
-  connection, executes the lease's jobs through an ordinary local
-  backend (``--backend``/``--workers``, default serial), and pushes the
+  connection, executes the lease's jobs locally (``--workers``: serial
+  by default, the process pool for more than one), and pushes the
   results stamped with their payload digests;
 * **when the coordinator goes away** after first contact, the worker
   treats it as the normal end of the sweep and exits 0 — kill-anywhere
@@ -135,14 +135,10 @@ def _check_envelope(document: Dict[str, object]) -> Dict[str, object]:
     return document
 
 
-def _execute_lease(
-    jobs: List[Job], backend_spec: Optional[str], workers: int
-) -> List[Dict[str, object]]:
+def _execute_lease(jobs: List[Job], workers: int) -> List[Dict[str, object]]:
     """Run one lease through a local backend; return wire-encoded results."""
     effective = max(1, min(workers, len(jobs)))
-    backend = create_backend(
-        None if backend_spec in (None, "auto") else backend_spec, effective
-    )
+    backend = create_backend(None, effective)
     collected: List[Tuple[Job, Dict[str, object]]] = []
 
     def on_result(job: Job, payload: Dict[str, object]) -> None:
@@ -154,7 +150,6 @@ def _execute_lease(
 
 def run_worker(
     coordinator: str,
-    backend: Optional[str] = None,
     workers: int = 1,
     poll: float = 0.5,
     grace: float = 30.0,
@@ -204,7 +199,7 @@ def run_worker(
             continue
         try:
             jobs = [decode_job(doc) for doc in lease.get("jobs", [])]
-            results = _execute_lease(jobs, backend, workers)
+            results = _execute_lease(jobs, workers)
             receipt = _check_envelope(
                 transport.post(
                     "/v1/complete",

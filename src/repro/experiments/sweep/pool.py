@@ -1,21 +1,21 @@
 """The sweep runner: cache, manifest, shard, and backend orchestration.
 
 :class:`SweepRunner` executes a :class:`~repro.experiments.sweep.sweep.SweepSpec`
-through a pluggable :class:`~repro.experiments.sweep.backends.ExecutionBackend`
-(serial, process pool, thread pool, batched dispatch, or the distributed
-coordinator — see :mod:`repro.experiments.sweep.backends` and
+through an :class:`~repro.experiments.sweep.backends.ExecutionBackend`
+(serial, the process pool, or the distributed coordinator — see
+:mod:`repro.experiments.sweep.backends` and
 :mod:`repro.experiments.sweep.distributed`), configured by one frozen
 :class:`~repro.experiments.sweep.config.RunConfig`.  Because every job
-derives its
-randomness from its own fingerprint, results are bit-identical regardless
-of backend, worker count, or completion order; the runner re-orders
-payloads into grid order before returning them.
+derives its randomness from its own fingerprint, results are
+bit-identical regardless of backend, worker count, or completion order;
+the runner re-orders payloads into grid order before returning them.
 
 Around the backend the runner layers three persistence concerns, all owned
 by the calling process (workers never touch disk):
 
 * **cache** — payloads keyed by job fingerprint, written the moment each
-  job completes, so an interrupted sweep loses at most in-flight jobs;
+  job's lease completes, so an interrupted sweep loses at most its
+  in-flight leases;
 * **manifest** — a per-sweep checkpoint file recording the grid and a
   digest per completed payload (:mod:`repro.experiments.sweep.manifest`);
   with ``resume=True`` the runner skips jobs the manifest records, after
@@ -29,15 +29,13 @@ by the calling process (workers never touch disk):
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 from warnings import warn
 
 from repro.errors import SweepError
-from repro.experiments.sweep.backends import ExecutionBackend, create_backend
-from repro.experiments.sweep.cache import ResultCache
+from repro.experiments.sweep.backends import create_backend
 from repro.experiments.sweep.config import RunConfig, autodetect_workers
 from repro.experiments.sweep.manifest import SweepManifest, payload_digest
 from repro.experiments.sweep.shard import ShardIncompleteError, ShardSpec
@@ -111,9 +109,8 @@ class SweepRunner:
                                      manifest_dir=manifest_dir))
 
     See :class:`~repro.experiments.sweep.config.RunConfig` for the
-    meaning of each field.  The configuration stays readable through the
-    ``workers``/``cache``/``backend``/``manifest_dir``/``resume``/
-    ``shard``/``jobs_per_lease`` properties.
+    meaning of each field; the configuration stays readable as
+    ``runner.config``.
     """
 
     def __init__(self, config: Optional[RunConfig] = None) -> None:
@@ -125,42 +122,6 @@ class SweepRunner:
             )
         self.config = config
 
-    # -- read-only views of the frozen configuration -------------------
-    @property
-    def workers(self) -> Optional[int]:
-        """Requested parallelism (``None`` = autodetect)."""
-        return self.config.workers
-
-    @property
-    def cache(self) -> Optional[ResultCache]:
-        """The result cache, or ``None`` when caching is disabled."""
-        return self.config.cache
-
-    @property
-    def backend(self) -> Union[str, ExecutionBackend, None]:
-        """The configured backend name/instance (``None`` = default policy)."""
-        return self.config.backend
-
-    @property
-    def manifest_dir(self) -> Union[str, os.PathLike, None]:
-        """Directory of the per-sweep checkpoint manifests, if any."""
-        return self.config.manifest_dir
-
-    @property
-    def resume(self) -> bool:
-        """Whether completed manifest entries are skipped on re-run."""
-        return self.config.resume
-
-    @property
-    def shard(self) -> Optional[ShardSpec]:
-        """The grid slice this runner executes, or ``None`` for all of it."""
-        return self.config.shard
-
-    @property
-    def jobs_per_lease(self) -> Optional[int]:
-        """Lease granularity for batching backends (``None`` = default)."""
-        return self.config.jobs_per_lease
-
     # ------------------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:
         """Execute ``spec`` and return its payloads in grid order.
@@ -170,21 +131,23 @@ class SweepRunner:
         execution on the backend.  With a shard, only owned jobs execute;
         cache hits still fill in foreign jobs when available.
         """
+        config = self.config
+        cache = config.cache
         # One rendering pass fingerprints the whole grid; every later
         # fingerprint() call below reads the job's memoized digest.
         fingerprints = spec.fingerprints()
         manifest: Optional[SweepManifest] = None
-        if self.manifest_dir is not None:
+        if config.manifest_dir is not None:
             manifest = SweepManifest.open(
-                self.manifest_dir, spec, shard=self.shard, resume=self.resume
+                config.manifest_dir, spec, shard=config.shard, resume=config.resume
             )
 
         payloads: Dict[str, Dict[str, object]] = {}
         cache_hits = resumed = 0
         pending: List[Job] = []
         for job, fingerprint in zip(spec.jobs, fingerprints):
-            cached = self.cache.get(fingerprint) if self.cache is not None else None
-            if manifest is not None and self.resume:
+            cached = cache.get(fingerprint) if cache is not None else None
+            if manifest is not None and config.resume:
                 recorded = manifest.completed.get(fingerprint)
                 if recorded is not None:
                     if cached is not None and payload_digest(cached) == recorded:
@@ -207,21 +170,21 @@ class SweepRunner:
                 if manifest is not None:
                     manifest.mark_done(job, cached)
                 continue
-            if self.shard is None or self.shard.owns(fingerprint):
+            if config.shard is None or config.shard.owns(fingerprint):
                 pending.append(job)
 
         workers_used = 1
         if pending:
-            workers = self.workers if self.workers is not None else autodetect_workers()
+            workers = config.workers if config.workers is not None else autodetect_workers()
             workers = max(1, min(workers, len(pending)))
             backend = create_backend(
-                self.backend, workers, jobs_per_lease=self.jobs_per_lease
+                config.backend, workers, jobs_per_lease=config.jobs_per_lease
             )
 
             def on_result(job: Job, payload: Dict[str, object]) -> None:
                 payloads[job.key] = payload
-                if self.cache is not None:
-                    self.cache.put(job.fingerprint(), job.key, payload)
+                if cache is not None:
+                    cache.put(job.fingerprint(), job.key, payload)
                 if manifest is not None:
                     manifest.mark_done(job, payload)
 
@@ -240,5 +203,5 @@ class SweepRunner:
             workers_used=workers_used,
             resumed=resumed,
             missing=tuple(key for key in spec.keys() if key not in payloads),
-            shard=self.shard,
+            shard=config.shard,
         )

@@ -13,7 +13,9 @@ the job's function, parameters, and seed, the partition is
 
 Shard *balance* is statistical, not exact: SHA-256 residues spread jobs
 uniformly, so shards of a large grid are near-equal, but a small grid may
-give one shard an extra job (or, degenerately, some shard none).
+give one shard an extra job (or, degenerately, some shard none).  Leases
+(:func:`lease_partition`) are exact instead: they slice the jobs in
+fingerprint order.
 """
 
 from __future__ import annotations
@@ -90,24 +92,23 @@ def partition(jobs: Sequence[Job], count: int) -> List[List[Job]]:
 
 
 def lease_partition(jobs: Sequence[Job], jobs_per_lease: int) -> List[List[Job]]:
-    """Group ``jobs`` into leases of roughly ``jobs_per_lease`` each.
+    """Group ``jobs`` into leases of exactly ``jobs_per_lease`` each.
 
-    This is the grouping behind batched dispatch (the ``batch`` backend)
-    and distributed work leases: the job list is split into
-    ``ceil(len(jobs) / jobs_per_lease)`` groups by the same
-    fingerprint-hash assignment :func:`partition` uses for shards, so the
-    grouping is deterministic, order-insensitive, and machine-independent
-    — every coordinator computes the same leases for the same grid.
-    Empty groups are dropped; like shard balance, group sizes are
-    statistical, so a group may hold a few more (or fewer) jobs than
-    requested.
+    This is the grouping behind the process pool (the ``batch`` backend)
+    and distributed work leases.  The jobs are sorted by fingerprint and
+    cut into consecutive runs of ``jobs_per_lease``; only the last lease
+    may be shorter, so there are exactly ``ceil(len(jobs) /
+    jobs_per_lease)`` leases.  Sorting by fingerprint keeps the grouping
+    deterministic, order-insensitive, and machine-independent — every
+    coordinator computes the same leases for the same grid.
     """
     if jobs_per_lease < 1:
         raise SweepError(f"jobs_per_lease must be >= 1, got {jobs_per_lease}")
-    if not jobs:
-        return []
-    count = max(1, -(-len(jobs) // jobs_per_lease))
-    return [group for group in partition(jobs, count) if group]
+    ordered = sorted(jobs, key=Job.fingerprint)
+    return [
+        ordered[start:start + jobs_per_lease]
+        for start in range(0, len(ordered), jobs_per_lease)
+    ]
 
 
 def ownership(jobs: Sequence[Job], count: int) -> Dict[str, int]:

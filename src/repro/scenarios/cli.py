@@ -52,9 +52,9 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
 
     The flag set is single-sourced from
     :func:`repro.experiments.sweep.config.add_runner_arguments`, so
-    ``--workers``/``--backend``/``--cache-dir``/``--manifest-dir``/
-    ``--resume``/``--shard``/``--jobs-per-lease`` behave exactly as they
-    do in ``python -m repro.experiments``.
+    ``--workers``/``--cache-dir``/``--manifest-dir``/``--resume``/
+    ``--shard``/``--jobs-per-lease`` behave exactly as they do in
+    ``python -m repro.experiments``.
     """
     add_runner_arguments(parser)
 
@@ -374,10 +374,10 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     except ShardIncompleteError as exc:
         # Same contract as python -m repro.experiments --shard: the owned
         # slice is checkpointed; the report needs the sibling shards.
-        if runner.shard is None:
+        if runner.config.shard is None:
             raise
         print(
-            f"[scenario] shard {runner.shard.label} of scenario "
+            f"[scenario] shard {runner.config.shard.label} of scenario "
             f"{scenario.name} complete; no report without the other "
             f"shards ({exc})",
             file=out,
@@ -533,10 +533,10 @@ def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
     try:
         matrix = transfer_matrix(artifacts, scenarios, runner=runner, seed=args.seed)
     except ShardIncompleteError as exc:
-        if runner.shard is None:
+        if runner.config.shard is None:
             raise
         print(
-            f"[matrix] shard {runner.shard.label} complete; no matrix "
+            f"[matrix] shard {runner.config.shard.label} complete; no matrix "
             f"without the other shards ({exc})",
             file=out,
         )

@@ -53,7 +53,13 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 from repro.accelerators.library import accelerator_by_name, accelerator_names
 from repro.errors import ConfigurationError
 from repro.experiments.common import EXPERIMENT_LINE_BYTES, STANDARD_POLICY_KINDS
-from repro.scenarios.loader import parse_bytes
+from repro.scenarios.loader import (
+    _as_int,
+    _as_str_list,
+    _as_table,
+    _check_unknown_keys,
+    parse_bytes,
+)
 from repro.scenarios.scenario import DEFAULT_SCENARIO_POLICIES
 from repro.units import KB
 
@@ -299,20 +305,6 @@ def spec_digest(spec: GenerationSpec) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _as_table(value: object, where: str) -> Mapping[str, object]:
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(
-            f"{where}: expected a table/object, got {type(value).__name__}"
-        )
-    return value
-
-
-def _as_int(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def _as_number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}: expected a number, got {value!r}")
@@ -354,33 +346,10 @@ def _as_bytes_range(value: object, where: str) -> Tuple[int, int]:
     )
 
 
-def _as_str_list(value: object, where: str) -> List[str]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        raise ConfigurationError(f"{where}: expected a list of strings, got {value!r}")
-    out: List[str] = []
-    for index, item in enumerate(value):
-        if not isinstance(item, str) or not item:
-            raise ConfigurationError(
-                f"{where}[{index}]: expected a non-empty string, got {item!r}"
-            )
-        out.append(item)
-    return out
-
-
 def _as_float_list(value: object, where: str) -> List[float]:
     if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
         raise ConfigurationError(f"{where}: expected a list of numbers, got {value!r}")
     return [_as_number(item, f"{where}[{index}]") for index, item in enumerate(value)]
-
-
-def _check_unknown_keys(
-    mapping: Mapping[str, object], allowed: Sequence[str], where: str
-) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigurationError(
-            f"{where}: unknown key {unknown[0]!r} (allowed: {sorted(allowed)})"
-        )
 
 
 def generation_spec_from_mapping(document: Mapping[str, object]) -> GenerationSpec:

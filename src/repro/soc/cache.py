@@ -75,11 +75,6 @@ class CacheStats:
         """Total number of line accesses."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of accesses that missed."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class RangeAccessResult:
     """Outcome of accessing a byte range through the cache."""

@@ -38,10 +38,6 @@ class PhaseResult:
         """Number of accelerator invocations completed in the phase."""
         return len(self.invocations)
 
-    def total_policy_overhead_cycles(self) -> float:
-        """Sum of the coherence-runtime overhead across the phase."""
-        return sum(result.policy_overhead_cycles for result in self.invocations)
-
     def to_dict(self) -> Dict[str, object]:
         """JSON form (used by the sweep runner); inverse of :meth:`from_dict`."""
         return {

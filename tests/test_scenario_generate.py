@@ -10,8 +10,8 @@ The contract under test (see ``repro/scenarios/generate/__init__.py``):
   JSON exports and equal content digests; different seeds yield distinct
   digests; the generated fleet is invariant under the requested count;
 * **integration** — generated scenarios run through the sweep runner
-  bit-identically across serial/thread/process backends and worker
-  counts, with identical job fingerprints (the cache-correctness
+  bit-identically on the serial backend and the process pool at any
+  worker count, with identical job fingerprints (the cache-correctness
   backbone), and three seeds' payloads are pinned to golden digests.
 
 Hypothesis draws the specs; the ranges are kept deliberately small so
@@ -376,8 +376,8 @@ class TestSweepIntegration:
     @pytest.mark.slow
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=8, deadline=None)
-    def test_random_scenarios_thread_matches_serial(self, seed, tmp_path_factory):
-        self._assert_thread_matches_serial(
+    def test_random_scenarios_pool_matches_serial(self, seed, tmp_path_factory):
+        self._assert_pool_matches_serial(
             _tiny_generated_scenario(seed), tmp_path_factory.mktemp("cache")
         )
 
@@ -398,16 +398,14 @@ class TestSweepIntegration:
             ]
             assert jobs[0].fingerprint() == jobs[1].fingerprint()
 
-    def _assert_thread_matches_serial(self, scenario, cache_dir):
+    def _assert_pool_matches_serial(self, scenario, cache_dir):
         serial = run_scenario(scenario, policy_kinds=self.POLICIES)
-        runner = SweepRunner(
-            config=RunConfig(workers=2, backend="thread", cache=ResultCache(cache_dir))
-        )
-        threaded = run_scenario(scenario, policy_kinds=self.POLICIES, runner=runner)
-        assert _payloads(threaded) == _payloads(serial)
+        runner = SweepRunner(config=RunConfig(workers=2, cache=ResultCache(cache_dir)))
+        pooled = run_scenario(scenario, policy_kinds=self.POLICIES, runner=runner)
+        assert _payloads(pooled) == _payloads(serial)
 
-    def test_serial_and_thread_backends_are_bit_identical(self, tmp_path):
-        self._assert_thread_matches_serial(_tiny_generated_scenario(), tmp_path / "cache")
+    def test_serial_and_pool_are_bit_identical(self, tmp_path):
+        self._assert_pool_matches_serial(_tiny_generated_scenario(), tmp_path / "cache")
 
     @pytest.mark.slow
     def test_process_backend_and_worker_counts_are_bit_identical(self, tmp_path):
@@ -416,10 +414,8 @@ class TestSweepIntegration:
         for workers in (1, 2):
             runner = SweepRunner(
                 config=RunConfig(
-                    workers=workers,
-                    backend="process",
-                    cache=ResultCache(tmp_path / f"cache-{workers}"),
+                    workers=workers, cache=ResultCache(tmp_path / f"cache-{workers}")
                 )
             )
             result = run_scenario(scenario, policy_kinds=self.POLICIES, runner=runner)
-            assert _payloads(result) == payloads, f"process backend with {workers} workers diverged"
+            assert _payloads(result) == payloads, f"{workers} worker(s) diverged"

@@ -1,12 +1,16 @@
-"""Tests of the pluggable execution backends and their shared contract.
+"""Tests of the execution backends and their shared contract.
 
-Every backend must execute each pending job exactly once, report
-completions incrementally through the callback (on the calling thread),
-and produce payloads bit-identical to the serial reference — determinism
-lives in the jobs, not in the executor.
+Both registered backends — the serial reference and the process pool —
+must execute each pending job exactly once, report completions
+incrementally through the callback (on the calling thread), and produce
+payloads bit-identical to the serial reference — determinism lives in
+the jobs, not in the executor.
 """
 
 from __future__ import annotations
+
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,12 +24,7 @@ from repro.experiments.sweep import (
     SweepSpec,
     create_backend,
 )
-from repro.experiments.sweep.backends import (
-    BatchBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-)
+from repro.experiments.sweep.backends import BatchBackend, SerialBackend, batch
 
 
 def _mul_job(params, rng):
@@ -40,6 +39,13 @@ def _fail_on_three(params, rng):
     return {"product": params["a"] * params["b"]}
 
 
+def _fail_slowly_on_three(params, rng):
+    """Like :func:`_fail_on_three`, but job 3 first gives the pool time to drain."""
+    if params["a"] == 3:
+        time.sleep(0.5)
+    return _fail_on_three(params, rng)
+
+
 def _grid(fn=_mul_job, n=8) -> SweepSpec:
     return SweepSpec(
         name="grid",
@@ -52,38 +58,38 @@ def _grid(fn=_mul_job, n=8) -> SweepSpec:
 
 class TestRegistry:
     def test_registry_names(self):
-        assert BACKEND_NAMES == ("batch", "process", "serial", "thread")
+        assert BACKEND_NAMES == ("batch", "serial")
 
     def test_create_by_name(self):
         assert isinstance(create_backend("serial", workers=4), SerialBackend)
-        assert isinstance(create_backend("process", workers=1), ProcessPoolBackend)
-        assert isinstance(create_backend("thread", workers=1), ThreadPoolBackend)
         assert isinstance(create_backend("batch", workers=1), BatchBackend)
 
     def test_batch_backend_receives_jobs_per_lease(self):
         backend = create_backend("batch", workers=2, jobs_per_lease=7)
         assert backend.jobs_per_lease == 7
-        # Other backends silently ignore the lease granularity.
+        # The default policy hands the lease size to the pool as well.
+        assert create_backend(None, workers=2, jobs_per_lease=7).jobs_per_lease == 7
+        # Serial execution silently ignores the lease granularity.
         assert isinstance(
-            create_backend("process", workers=2, jobs_per_lease=7),
-            ProcessPoolBackend,
+            create_backend("serial", workers=2, jobs_per_lease=7), SerialBackend
         )
 
     def test_default_policy_follows_workers(self):
         assert isinstance(create_backend(None, workers=1), SerialBackend)
-        assert isinstance(create_backend(None, workers=2), ProcessPoolBackend)
+        assert isinstance(create_backend(None, workers=2), BatchBackend)
 
     def test_instance_passes_through(self):
-        backend = ThreadPoolBackend()
+        backend = BatchBackend(jobs_per_lease=3)
         assert create_backend(backend, workers=8) is backend
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(SweepError, match="unknown execution backend"):
-            create_backend("gpu", workers=1)
+        for name in ("gpu", "process", "thread"):
+            with pytest.raises(SweepError, match="unknown execution backend"):
+                create_backend(name, workers=1)
 
 
 class TestContract:
-    @pytest.mark.parametrize("name", ["serial", "process", "thread", "batch"])
+    @pytest.mark.parametrize("name", ["serial", "batch"])
     def test_every_job_reported_exactly_once(self, name):
         spec = _grid()
         seen = []
@@ -98,7 +104,7 @@ class TestContract:
         assert used == 1
         assert seen == spec.keys()
 
-    @pytest.mark.parametrize("name", ["process", "thread", "batch"])
+    @pytest.mark.parametrize("name", ["serial", "batch"])
     def test_backends_match_serial_reference(self, name):
         spec = _grid()
         reference = SweepRunner(config=RunConfig(workers=1, backend="serial")).run(spec)
@@ -106,32 +112,67 @@ class TestContract:
         assert dict(other.payloads) == dict(reference.payloads)
         assert list(other.payloads) == spec.keys()  # grid order restored
 
-    def test_thread_backend_with_more_workers_than_jobs(self):
+    def test_pool_with_more_workers_than_jobs(self):
         spec = _grid(n=2)
-        result = SweepRunner(config=RunConfig(workers=16, backend="thread")).run(spec)
+        result = SweepRunner(config=RunConfig(workers=16)).run(spec)
         assert len(result) == 2
         # The runner clamps the request to the number of pending jobs.
         assert result.workers_used == 2
 
     def test_process_backend_serial_when_one_worker(self):
         spec = _grid(n=3)
-        result = SweepRunner(config=RunConfig(workers=1, backend="process")).run(spec)
+        result = SweepRunner(config=RunConfig(workers=1, backend="batch")).run(spec)
         assert result.workers_used == 1
         assert len(result) == 3
 
-    def test_thread_backend_fails_fast(self, tmp_path):
-        # With one worker the queue drains in order: job 3 raises and the
-        # remaining queued jobs must be cancelled, not executed.
+    def test_pool_dispatches_leases_in_grid_order(self, monkeypatch):
+        dispatched = []
+
+        class InlinePool:
+            """Runs leases in-process, recording the order they are handed over."""
+
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def join(self):
+                pass
+
+            def imap_unordered(self, fn, leases):
+                dispatched[:] = [[job.key for job in lease] for lease in leases]
+                return map(fn, leases)
+
+        monkeypatch.setattr(
+            batch.multiprocessing, "get_context", lambda: SimpleNamespace(Pool=InlinePool)
+        )
+        spec = _grid()
+        BatchBackend(jobs_per_lease=1).run(spec.jobs, 2, lambda job, payload: None)
+        assert dispatched == [[key] for key in spec.keys()]
+        BatchBackend(jobs_per_lease=3).run(spec.jobs, 2, lambda job, payload: None)
+        firsts = [min(spec.keys().index(key) for key in lease) for lease in dispatched]
+        assert len(firsts) == 3 and firsts == sorted(firsts)
+
+    def test_pool_failure_propagates_and_keeps_checkpoints(self, tmp_path):
+        # One job per lease: while job 3 sleeps on one worker, the other
+        # worker drains the rest of the grid, so every other job is
+        # reported — and checkpointed — before job 3's exception arrives.
         cache = ResultCache(tmp_path / "cache")
-        spec = _grid(fn=_fail_on_three, n=12)
+        spec = _grid(fn=_fail_slowly_on_three, n=6)
+        runner = SweepRunner(config=RunConfig(workers=2, cache=cache, jobs_per_lease=1))
         with pytest.raises(RuntimeError, match="job 3 exploded"):
-            SweepRunner(config=RunConfig(workers=1, backend="thread", cache=cache)).run(spec)
-        assert len(cache) < 11  # jobs after the failure never ran
+            runner.run(spec)
+        survivors = {job.fingerprint() for job in spec.jobs if job.key != "j3"}
+        assert set(cache.fingerprints()) == survivors
 
 
 class TestIncrementalCheckpointing:
     def test_completed_jobs_cached_even_when_a_later_job_fails(self, tmp_path):
-        """The crash contract: a dying sweep loses at most in-flight jobs."""
+        """The crash contract: a dying sweep loses at most in-flight leases."""
         cache = ResultCache(tmp_path / "cache")
         spec = _grid(fn=_fail_on_three)
         runner = SweepRunner(config=RunConfig(workers=1, backend="serial", cache=cache))

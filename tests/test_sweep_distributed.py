@@ -136,7 +136,7 @@ class TestRunConfig:
         assert isinstance(config.cache, ResultCache)
         # Manifests default to living beside the cache.
         assert config.manifest_dir == tmp_path / "c" / "manifests"
-        assert config.backend is None  # "auto" maps to the default policy
+        assert config.backend is None  # the worker count picks the backend
 
     def test_from_args_no_cache(self):
         config = RunConfig.from_args(self._parse(["--no-cache", "--workers", "3"]))
@@ -149,14 +149,13 @@ class TestRunConfig:
                 [
                     "--cache-dir", str(tmp_path / "c"),
                     "--manifest-dir", str(tmp_path / "m"),
-                    "--backend", "batch",
                     "--shard", "1/3",
                     "--jobs-per-lease", "8",
                     "--workers", "2",
                 ]
             )
         )
-        assert config.backend == "batch"
+        assert config.workers == 2
         assert config.manifest_dir == tmp_path / "m"
         assert config.shard == ShardSpec(index=1, count=3)
         assert config.jobs_per_lease == 8
@@ -187,7 +186,7 @@ class TestDeprecatedKwargs:
 
     def test_config_form_does_not_warn(self, recwarn):
         runner = SweepRunner(config=RunConfig(workers=2))
-        assert runner.workers == 2
+        assert runner.config.workers == 2
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
 
     def test_mixing_config_and_legacy_rejected(self):
@@ -199,11 +198,6 @@ class TestDeprecatedKwargs:
     def test_config_must_be_a_runconfig(self):
         with pytest.raises(SweepError, match="must be a RunConfig"):
             SweepRunner(config={"workers": 2})  # type: ignore[arg-type]
-
-    def test_properties_are_read_only(self):
-        runner = SweepRunner(config=RunConfig())
-        with pytest.raises(AttributeError):
-            runner.workers = 4  # type: ignore[misc]
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +212,13 @@ class TestLeasePartition:
         assert all(groups)  # no empty leases
 
     def test_group_count_follows_ceiling(self):
-        jobs = _grid(n=8).jobs
-        # ceil(8/3) = 3 target groups; hash collisions can only merge
-        # groups, never create extras.
-        assert 1 <= len(lease_partition(jobs, 3)) <= 3
-        assert len(lease_partition(jobs, 100)) == 1
+        # Exactly ceil(n / k) leases, each of k jobs except the last.
+        for n in (8, 13):
+            jobs = _grid(n=n).jobs
+            for per_lease in (1, 2, 3, n, n + 1):
+                sizes = [len(group) for group in lease_partition(jobs, per_lease)]
+                count = -(-n // per_lease)
+                assert sizes == [per_lease] * (count - 1) + [n - per_lease * (count - 1)]
         assert lease_partition([], 5) == []
 
     def test_deterministic_and_order_insensitive(self):
@@ -234,8 +230,8 @@ class TestLeasePartition:
             {job.fingerprint() for job in group} for group in groups
         ]
         assert as_sets(first) == as_sets(again)
-        # Assignment is by fingerprint hash, so input order is irrelevant
-        # (group membership is identical; only intra-group order shifts).
+        # Leases are cut from the fingerprint-sorted jobs, so input order
+        # is irrelevant.
         assert sorted(map(sorted, as_sets(first))) == sorted(map(sorted, as_sets(shuffled)))
 
     def test_rejects_bad_granularity(self):
@@ -271,6 +267,14 @@ def _triple(job, payload):
 class TestLeaseBoard:
     def _payload(self, job):
         return {"product": job.params["a"] * job.params["b"]}
+
+    def test_default_lease_holds_one_job(self):
+        jobs = _grid(n=5).jobs
+        board = LeaseBoard(jobs, jobs_per_lease=1)
+        assert board.snapshot()["pending_leases"] == 5
+        leases = [board.acquire("w", now=0.0) for _ in jobs]
+        assert [len(lease.jobs) for lease in leases] == [1] * 5
+        assert board.acquire("w", now=0.0) is None
 
     def test_acquire_and_complete(self):
         jobs = _grid(n=4).jobs
@@ -654,13 +658,6 @@ class TestCli:
 
         assert main(["worker", "--coordinator", "ftp://nope"]) == 2
         assert "invalid coordinator URL" in capsys.readouterr().out
-
-    def test_coordinate_rejects_explicit_backend(self, capsys):
-        from repro.experiments.sweep.cli import main
-
-        code = main(["coordinate", "socs", "--no-cache", "--backend", "process"])
-        assert code == 2
-        assert "distributed backend" in capsys.readouterr().out
 
     def test_module_alias_dispatches(self):
         # python -m repro.experiments.sweep shares the experiments CLI.
