@@ -9,7 +9,8 @@ the coherence-mode datapath for the chosen mode's transfer loop
 (:meth:`repro.soc.datapath.Datapath.plan`); each iteration then maps its
 read and write windows to wrap pieces and physical segments with integer
 arithmetic and charges every piece through that loop, so the executor
-itself is mode-agnostic.
+itself is mode-agnostic.  Each iteration ends by yielding its duration as
+a plain delay, which the engine's fast path schedules without allocating.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, List, Optional, Tuple
 
 from repro.accelerators.invocation import InvocationRequest
-from repro.sim.engine import ResumeAt
 from repro.soc.address import Buffer
 from repro.soc.cache import SetAssociativeCache
 from repro.soc.coherence import CoherenceMode
@@ -123,7 +123,7 @@ class InvocationExecutor:
     ) -> Generator[object, float, ExecutionRecord]:
         """Generator process for the accelerator-active phase.
 
-        Yields simulation delays / resume points and finally *returns* an
+        Yields one simulation delay per iteration and finally *returns* an
         :class:`ExecutionRecord` (retrieved by the caller via ``yield from``).
         """
         engine = self.soc.engine
@@ -189,7 +189,9 @@ class InvocationExecutor:
             # Communication and computation overlap within an iteration:
             # the iteration takes as long as the slower of the two.
             duration = comm_time if comm_time > compute_chunk else compute_chunk
-            yield ResumeAt(iteration_start + duration)
+            # The clock still reads iteration_start, so the engine resumes at
+            # iteration_start + duration, the same float ResumeAt gave.
+            yield duration
 
         accelerator_cycles = engine.now - start_time
         return ExecutionRecord(

@@ -12,9 +12,12 @@ Figure 3: when many accelerators funnel traffic into the same LLC partition
 or DRAM controller, each sees its effective bandwidth shrink and its
 latency grow, while private paths are unaffected.
 
-``serve`` is called once per DMA chunk per resource, which puts it on the
-simulation's hot path — both classes use ``__slots__`` and the method body
-avoids redundant conversions (see ``repro.perf``).
+``serve`` is called once per DMA segment per resource, which puts it on the
+simulation's hot path.  Both classes use ``__slots__``, and ``serve``
+converts nothing: callers pass ints or floats, for which ``nbytes /
+bytes_per_cycle`` is the same float as ``float(nbytes) / bytes_per_cycle``.
+Only ``bytes_served`` takes ``int(nbytes)``, because the LLC port is
+charged a float byte count (``size * port_factor``).
 """
 
 from __future__ import annotations
@@ -97,11 +100,10 @@ class BandwidthResource:
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
-        now = float(now)
         next_free = self.next_free
         start = now if now > next_free else next_free
         latency = self.latency
-        busy = float(nbytes) / self.bytes_per_cycle
+        busy = nbytes / self.bytes_per_cycle
         finish = start + latency + busy
         self.next_free = finish
         stats = self.stats

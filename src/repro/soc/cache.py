@@ -16,12 +16,14 @@ the coherence-mode data paths need:
 
 This module is on the hot path of every simulated DMA transfer, so the
 range operations are written for speed: geometry values are hoisted into
-locals, a resident-line counter keeps empty-cache operations O(1), and
-``flush_range`` walks whichever is smaller — the address range or the
-cache contents — so flushing a huge buffer through a small cache costs
-O(resident lines), not O(buffer size).  ``repro.perf`` benchmarks these
-paths and ``tests/test_perf_equivalence.py`` checks them against a
-deliberately naive per-line oracle.
+locals, and the public resident-line counter ``num_valid`` keeps
+empty-cache operations O(1) (the coherent-DMA recall reads it to skip
+empty caches without a call).  ``flush_range`` walks whichever is
+smaller — the address range or the cache contents — so flushing a huge
+buffer through a small cache costs O(resident lines), not O(buffer
+size).  ``repro.perf`` benchmarks these paths and
+``tests/test_perf_equivalence.py`` checks them against a deliberately
+naive per-line oracle.
 
 Each set is a plain ``dict`` mapping line address to dirty bit, and
 insertion order *is* the recency order (the first entry is the LRU
@@ -149,7 +151,8 @@ class SetAssociativeCache:
         self._sets: List[Dict[int, bool]] = [{} for _ in range(self.num_sets)]
         # Resident-line count, kept in sync by every mutation so that
         # emptiness checks and contents-vs-range walk decisions are O(1).
-        self._num_valid = 0
+        # Callers may read it, never write it.
+        self.num_valid = 0
         # Conservative bounds on resident line addresses ([lo, hi], only
         # widened on insert, reset when the cache empties).  Flush and
         # recall scans over address ranges that cannot intersect the
@@ -210,7 +213,7 @@ class SetAssociativeCache:
                 stats.dirty_evictions += 1
                 stats.writebacks += 1
         else:
-            self._num_valid += 1
+            self.num_valid += 1
         cache_set[line_addr] = write
         if line_addr < self._addr_lo:
             self._addr_lo = line_addr
@@ -234,8 +237,8 @@ class SetAssociativeCache:
         cache_set = self._sets[self._set_index(line_addr)]
         dirty = cache_set.pop(line_addr, None)
         if dirty is not None:
-            self._num_valid -= 1
-            if not self._num_valid:
+            self.num_valid -= 1
+            if not self.num_valid:
                 self._addr_lo = _EMPTY_LO
                 self._addr_hi = _EMPTY_HI
         return bool(dirty)
@@ -309,7 +312,7 @@ class SetAssociativeCache:
         result.hits = hits
         result.misses = misses
         result.evicted_clean = evicted_clean
-        self._num_valid += installed
+        self.num_valid += installed
         dirty_evictions = len(evicted_dirty_lines)
         stats.hits += hits
         stats.misses += misses
@@ -378,7 +381,7 @@ class SetAssociativeCache:
             line_addr += line
         misses = len(miss_lines)
         dirty_evictions = len(evicted_dirty)
-        self._num_valid += installed
+        self.num_valid += installed
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
@@ -429,7 +432,7 @@ class SetAssociativeCache:
             else:
                 installed += 1
             cache_set[line_addr] = write
-        self._num_valid += installed
+        self.num_valid += installed
         stats.hits += hits
         stats.misses += misses
         stats.evictions += evictions
@@ -457,7 +460,7 @@ class SetAssociativeCache:
         if last_index * line > self._addr_hi:
             self._addr_hi = last_index * line
         installed = last_index - first_index + 1
-        num_valid = self._num_valid
+        num_valid = self.num_valid
         line_addr = first_index * line
         set_index = first_index % num_sets
         for _ in range(installed):
@@ -475,7 +478,7 @@ class SetAssociativeCache:
             else:
                 cache_set[line_addr] = prev or dirty
             line_addr += line
-        self._num_valid = num_valid
+        self.num_valid = num_valid
         return installed
 
     # ------------------------------------------------------------------
@@ -491,7 +494,7 @@ class SetAssociativeCache:
                 if dirty:
                     writebacks += 1
             cache_set.clear()
-        self._num_valid = 0
+        self.num_valid = 0
         self._addr_lo = _EMPTY_LO
         self._addr_hi = _EMPTY_HI
         self.stats.flush_writebacks += writebacks
@@ -502,14 +505,14 @@ class SetAssociativeCache:
         """Flush only the given range; return ``(writebacks, invalidations)``."""
         writebacks = 0
         invalidations = 0
-        if nbytes > 0 and self._num_valid:
+        if nbytes > 0 and self.num_valid:
             line = self.line_bytes
             first = (start // line) * line
             last = ((start + nbytes - 1) // line) * line
             if last < self._addr_lo or first > self._addr_hi:
                 return 0, 0
             range_lines = (last - first) // line + 1
-            if range_lines <= self._num_valid:
+            if range_lines <= self.num_valid:
                 # Few lines in the range: walk the address range.
                 num_sets = self.num_sets
                 sets = self._sets
@@ -532,8 +535,8 @@ class SetAssociativeCache:
                         invalidations += 1
                         if cache_set.pop(addr):
                             writebacks += 1
-            self._num_valid -= invalidations
-            if not self._num_valid:
+            self.num_valid -= invalidations
+            if not self.num_valid:
                 self._addr_lo = _EMPTY_LO
                 self._addr_hi = _EMPTY_HI
         self.stats.flush_writebacks += writebacks
@@ -543,26 +546,22 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def valid_lines(self) -> int:
-        """Number of valid lines currently resident."""
-        return self._num_valid
-
     def dirty_lines(self) -> int:
         """Number of dirty lines currently resident."""
         return sum(sum(1 for dirty in cache_set.values() if dirty) for cache_set in self._sets)
 
     def occupancy_bytes(self) -> int:
         """Bytes of valid data currently resident."""
-        return self._num_valid * self.line_bytes
+        return self.num_valid * self.line_bytes
 
     def occupancy_fraction(self) -> float:
         """Fraction of the cache capacity currently valid."""
         capacity_lines = self.num_sets * self.ways
-        return self._num_valid / capacity_lines if capacity_lines else 0.0
+        return self.num_valid / capacity_lines if capacity_lines else 0.0
 
     def resident_lines_in_range(self, start: int, nbytes: int) -> int:
         """Number of lines of ``[start, start + nbytes)`` currently resident."""
-        if nbytes <= 0 or not self._num_valid:
+        if nbytes <= 0 or not self.num_valid:
             return 0
         line = self.line_bytes
         first = (start // line) * line
@@ -570,7 +569,7 @@ class SetAssociativeCache:
         if last < self._addr_lo or first > self._addr_hi:
             return 0
         range_lines = (last - first) // line + 1
-        if range_lines <= self._num_valid:
+        if range_lines <= self.num_valid:
             num_sets = self.num_sets
             sets = self._sets
             return sum(
@@ -588,12 +587,14 @@ class SetAssociativeCache:
     def resident_lines_within(self, start: int, nbytes: int) -> List[int]:
         """Return resident line addresses falling inside ``[start, start+nbytes)``.
 
-        This walks the (small) cache contents rather than the (potentially
-        huge) address range, which is what the coherent-DMA recall logic
-        needs: it only cares about the few lines a private cache actually
-        holds.  An empty cache returns immediately.
+        The lines come in set order, least recently used first within a
+        set; the coherent-DMA recall installs recalled dirty lines in the
+        LLC in this order.  This walks the (small) cache contents rather
+        than the (potentially huge) address range, which is what the
+        recall needs: it only cares about the few lines a private cache
+        actually holds.  An empty cache returns immediately.
         """
-        if nbytes <= 0 or not self._num_valid:
+        if nbytes <= 0 or not self.num_valid:
             return []
         end = start + nbytes
         if end <= self._addr_lo or start >= self._addr_hi + self.line_bytes:
@@ -612,7 +613,7 @@ class SetAssociativeCache:
         """Drop all contents and statistics (used between experiments)."""
         for cache_set in self._sets:
             cache_set.clear()
-        self._num_valid = 0
+        self.num_valid = 0
         self._addr_lo = _EMPTY_LO
         self._addr_hi = _EMPTY_HI
         self.stats = CacheStats()

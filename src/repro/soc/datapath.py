@@ -15,6 +15,10 @@ already resolved to physical segments ``(mem_tile, start, size)``).  The
 invocation executor in :mod:`repro.runtime.executor` asks
 :meth:`Datapath.plan` once per invocation for the transfer loop of the
 chosen mode, then calls that loop once per DMA piece of every iteration.
+The plan resolves each memory tile's DRAM controller, LLC array, LLC port,
+NoC link and route latency from the accelerator, so a segment charges
+every resource directly, with positional calls.  Coherent-DMA recalls skip
+private caches that hold no lines without calling into them.
 :meth:`Datapath.dma_read` / :meth:`Datapath.dma_write` run a single
 transfer through a fresh plan.
 """
@@ -141,7 +145,7 @@ class Datapath:
         self.line_bytes = soc.config.cache_line_bytes
         # The SoC's components, which it resets in place but never replaces.
         # Each memory tile's (DRAM controller, LLC array, LLC port, tile name)
-        # is resolved once, for the transfer loops of plan().
+        # is resolved once; plan() adds the NoC route from the accelerator.
         self._llc_partitions = soc.llc_partitions
         self._dram_controllers = soc.dram_controllers
         self._acc_links = soc.accelerator_links
@@ -299,8 +303,9 @@ class Datapath:
 
         Everything the mode's cost model needs that stays fixed for an
         invocation is looked up here, once: the effective burst size, the
-        per-burst overhead, the accelerator's link, the NoC, and each memory
-        tile's DRAM controller, LLC partition and name.  The returned
+        per-burst overhead, the accelerator's link, and each memory tile's
+        DRAM controller, LLC array, LLC port, NoC link and route latency
+        from ``acc_tile``.  The returned
         ``transfer(now, segments, write, stats)`` issues every segment
         ``(mem_tile, start, size)`` of one DMA piece at ``now``, adds the
         traffic to ``stats`` in place, and returns when the last segment
@@ -320,10 +325,21 @@ class Datapath:
             return self._plan_fully_coherent(acc_tile, private_cache)
         raise CoherenceError(f"unsupported coherence mode {mode}")  # pragma: no cover
 
+    def _memory_paths(self, acc_tile: str) -> Tuple[tuple, ...]:
+        """Each memory tile's ``(dram, llc, port, noc_link, route)`` seen from ``acc_tile``.
+
+        ``route`` is the NoC route latency, which the transfer loops pass to
+        ``noc_link.serve`` as extra latency, as :meth:`MeshNoC.transfer` does.
+        """
+        noc = self.soc.noc
+        return tuple(
+            (dram, cache, port, noc.memory_link(tile), noc.route_latency(acc_tile, name))
+            for tile, (dram, cache, port, name) in enumerate(self._memories)
+        )
+
     def _plan_non_coherent(self, acc_tile: str, burst_bytes: int) -> Transfer:
         """Direct DRAM access, bypassing the cache hierarchy."""
-        memories = self._memories
-        noc = self.soc.noc
+        memories = self._memory_paths(acc_tile)
         link = self._acc_links.get(acc_tile)
         line_bytes = self.line_bytes
         burst_bytes = max(int(burst_bytes), line_bytes)
@@ -334,15 +350,15 @@ class Datapath:
             for mem_tile, start, size in segments:
                 if size <= 0:
                     continue
-                dram, _cache, _port, name = memories[mem_tile]
+                dram, _cache, _port, noc_link, route = memories[mem_tile]
                 bursts = -(-size // burst_bytes)
                 if write:
-                    done = dram.write(now, size, bursts=bursts)
+                    done = dram.write(now, size, bursts)
                     stats.dram_write_lines += -(-size // line_bytes)
                 else:
-                    done = dram.read(now, size, bursts=bursts)
+                    done = dram.read(now, size, bursts)
                     stats.dram_read_lines += -(-size // line_bytes)
-                t_noc = noc.transfer(now, acc_tile, mem_tile, name, size)
+                t_noc = noc_link.serve(now, size, route)
                 if t_noc > done:
                     done = t_noc
                 if link is not None:
@@ -359,8 +375,7 @@ class Datapath:
 
     def _plan_llc(self, acc_tile: str, burst_bytes: int, coherent: bool) -> Transfer:
         """LLC-coherent or coherent DMA: requests served by the LLC partition."""
-        memories = self._memories
-        noc = self.soc.noc
+        memories = self._memory_paths(acc_tile)
         link = self._acc_links.get(acc_tile)
         line_bytes = self.line_bytes
         burst_bytes = max(int(burst_bytes), line_bytes)
@@ -377,12 +392,12 @@ class Datapath:
             for mem_tile, start, size in segments:
                 if size <= 0:
                     continue
-                dram, cache, port, name = memories[mem_tile]
+                dram, cache, port, noc_link, route = memories[mem_tile]
                 bursts = -(-size // burst_bytes)
                 recall_extra = 0.0
                 if coherent:
                     recall_extra = recall(recall_targets, cache, start, size, write, stats)
-                result = cache.access_range(start, size, write=write)
+                result = cache.access_range(start, size, write)
                 misses = result.misses
                 stats.llc_hits += result.hits
                 stats.llc_misses += misses
@@ -390,7 +405,7 @@ class Datapath:
                 if misses and not write:
                     # Read misses must be fetched from DRAM before being forwarded.
                     miss_bytes = misses * line_bytes
-                    t_dram = dram.read(now, miss_bytes, bursts=-(-miss_bytes // coalesce_bytes))
+                    t_dram = dram.read(now, miss_bytes, -(-miss_bytes // coalesce_bytes))
                     stats.dram_read_lines += misses
                 writebacks = len(result.evicted_dirty)
                 if writebacks:
@@ -398,7 +413,7 @@ class Datapath:
                     dram.write_back(now, writebacks)
                     stats.dram_write_lines += writebacks
                 done = port.serve(now, size * port_factor)
-                t_noc = noc.transfer(now, acc_tile, mem_tile, name, size)
+                t_noc = noc_link.serve(now, size, route)
                 if t_dram > done:
                     done = t_dram
                 if t_noc > done:
@@ -428,6 +443,8 @@ class Datapath:
         recall_count = 0
         line_bytes = self.line_bytes
         for cache in targets:
+            if not cache.num_valid:
+                continue
             resident = cache.resident_lines_within(start, size)
             if not resident:
                 continue
@@ -445,8 +462,7 @@ class Datapath:
         self, acc_tile: str, private_cache: SetAssociativeCache
     ) -> Transfer:
         """Fully-coherent access through the accelerator's private cache."""
-        memories = self._memories
-        noc = self.soc.noc
+        memories = self._memory_paths(acc_tile)
         link = self._acc_links.get(acc_tile)
         line_bytes = self.line_bytes
         coalesce_bytes = self.LLC_MISS_COALESCE_BYTES
@@ -463,9 +479,9 @@ class Datapath:
             for mem_tile, start, size in segments:
                 if size <= 0:
                     continue
-                dram, cache, port, name = memories[mem_tile]
+                dram, cache, port, noc_link, route = memories[mem_tile]
                 private_hits, private_misses, miss_lines, evicted_dirty = access_line_run(
-                    start, size, write=write
+                    start, size, write
                 )
                 stats.private_hits += private_hits
                 stats.private_misses += private_misses
@@ -484,11 +500,9 @@ class Datapath:
                 # the full line before modifying it — one of the structural
                 # disadvantages of the fully-coherent mode for streaming
                 # writes compared to DMA modes.
-                llc_hits, llc_misses, llc_evicted_dirty = cache.access_lines(
-                    miss_lines, write=False
-                )
+                llc_hits, llc_misses, llc_evicted_dirty = cache.access_lines(miss_lines, False)
                 # Dirty victims of the private cache are written back to the LLC.
-                _hits, _misses, wb_evicted_dirty = cache.access_lines(evicted_dirty, write=True)
+                _hits, _misses, wb_evicted_dirty = cache.access_lines(evicted_dirty, True)
                 llc_evicted_dirty += wb_evicted_dirty
                 stats.llc_hits += llc_hits
                 stats.llc_misses += llc_misses
@@ -496,7 +510,7 @@ class Datapath:
                 t_dram = now
                 if llc_misses:
                     miss_bytes = llc_misses * line_bytes
-                    t_dram = dram.read(now, miss_bytes, bursts=-(-miss_bytes // coalesce_bytes))
+                    t_dram = dram.read(now, miss_bytes, -(-miss_bytes // coalesce_bytes))
                     stats.dram_read_lines += llc_misses
                 if llc_evicted_dirty:
                     dram.write_back(now, llc_evicted_dirty)
@@ -506,7 +520,7 @@ class Datapath:
                 t_llc = t_noc = t_acc = now
                 if noc_bytes:
                     t_llc = port.serve(now, noc_bytes * port_factor)
-                    t_noc = noc.transfer(now, acc_tile, mem_tile, name, noc_bytes)
+                    t_noc = noc_link.serve(now, noc_bytes, route)
                     if link is not None:
                         t_acc = link.serve(now, noc_bytes)
                 # The fully-coherent miss path issues one protocol request per

@@ -64,16 +64,15 @@ class DramController:
         if nbytes <= 0:
             return now
         self.counters.reads += bytes_to_lines(int(nbytes), self.line_bytes)
-        extra = self.channel.latency * max(bursts - 1, 0)
-        return self.channel.serve(now, nbytes, extra_latency=extra)
+        # One burst (or none) makes this 0 or less, which ``serve`` ignores.
+        return self.channel.serve(now, nbytes, self.channel.latency * (bursts - 1))
 
     def write(self, now: float, nbytes: float, bursts: int = 1) -> float:
         """Write ``nbytes`` to DRAM; returns the completion time."""
         if nbytes <= 0:
             return now
         self.counters.writes += bytes_to_lines(int(nbytes), self.line_bytes)
-        extra = self.channel.latency * max(bursts - 1, 0)
-        return self.channel.serve(now, nbytes, extra_latency=extra)
+        return self.channel.serve(now, nbytes, self.channel.latency * (bursts - 1))
 
     def write_back(self, now: float, lines: int) -> float:
         """Write back ``lines`` evicted dirty lines; returns completion time."""

@@ -48,7 +48,7 @@ class LLCPartition:
 
     def serve_port(self, now: float, nbytes: float, extra_latency: float = 0.0) -> float:
         """Occupy the partition port for a transfer of ``nbytes``."""
-        return self.port.serve(now, nbytes, extra_latency=extra_latency)
+        return self.port.serve(now, nbytes, extra_latency)
 
     def warm(self, start: int, nbytes: int, dirty: bool = True) -> int:
         """Install a range without generating traffic (CPU-initialised data)."""

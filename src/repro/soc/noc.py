@@ -13,6 +13,12 @@ coherence-mode comparison the interesting NoC effects are:
 The model therefore assigns each tile a mesh coordinate, computes XY-routing
 hop counts, and represents the ingress/egress link of each memory tile as a
 shared FCFS bandwidth resource.
+
+:meth:`MeshNoC.route_latency` computes every route's latency.  The
+datapath's transfer plans look up each memory tile's link
+(:meth:`MeshNoC.memory_link`) and route latency once per invocation and
+charge each DMA segment on that link directly; :meth:`MeshNoC.transfer`
+does the same for a single transfer.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ class MeshNoC:
         self._mem_links: Dict[int, BandwidthResource] = {}
         # Route latencies are pure functions of the (static) floorplan, so
         # transfer() memoizes them per (src, dst) pair instead of paying two
-        # dictionary lookups and a hop computation per DMA chunk.
+        # dictionary lookups and a hop computation per call.
         self._route_cache: Dict[Tuple[str, str], float] = {}
 
     # ------------------------------------------------------------------
@@ -143,7 +149,7 @@ class MeshNoC:
         if latency is None:
             latency = self.route_latency(src_tile, mem_tile_name)
             self._route_cache[key] = latency
-        return link.serve(now, nbytes, extra_latency=latency)
+        return link.serve(now, nbytes, latency)
 
     # ------------------------------------------------------------------
     # Introspection

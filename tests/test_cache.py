@@ -110,7 +110,7 @@ class TestInstallAndFlush:
         writebacks, invalidations = cache.flush_all()
         assert invalidations == 16
         assert writebacks == 8
-        assert cache.valid_lines() == 0
+        assert cache.num_valid == 0
 
     def test_flush_range_only_touches_range(self):
         cache = make_cache()
@@ -162,6 +162,15 @@ class TestRecallAndOccupancy:
         assert cache.resident_lines_within(4096, 128) == []
         assert cache.resident_lines_within(0, 0) == []
 
+    def test_resident_lines_within_order_is_set_then_lru(self):
+        # 4 sets of 2 ways: lines 7 and 3 share set 3 (7 is LRU), line 4 is in set 0.
+        cache = make_cache(size=8 * 64, ways=2)
+        for line_index in (7, 4, 3):
+            cache.install_range(line_index * 64, 64)
+        assert cache.resident_lines_within(3 * 64, 3 * 64) == [4 * 64, 3 * 64]
+        assert cache.resident_lines_within(5 * 64, 2 * 64) == []
+        assert cache.resident_lines_within(0, 8 * 64) == [4 * 64, 7 * 64, 3 * 64]
+
     def test_resident_lines_in_range_count(self):
         cache = make_cache()
         cache.install_range(0, 256, dirty=False)
@@ -171,10 +180,10 @@ class TestRecallAndOccupancy:
         cache = make_cache()
         cache.access_range(0, 512, write=True)
         cache.clear()
-        assert cache.valid_lines() == 0
+        assert cache.num_valid == 0
         assert cache.stats.accesses == 0
 
     def test_capacity_never_exceeded(self):
         cache = make_cache(size=1 * KB, line=64, ways=4)
         cache.access_range(0, 16 * KB, write=True)
-        assert cache.valid_lines() <= 16
+        assert cache.num_valid <= 16

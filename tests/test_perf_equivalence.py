@@ -47,6 +47,7 @@ class ReferenceCache:
         self.hits = self.misses = self.evictions = 0
         self.dirty_evictions = self.writebacks = 0
         self.flush_writebacks = self.flush_invalidations = 0
+        self.recalls = 0
 
     def _set(self, line_addr):
         return self.sets[(line_addr // self.line_bytes) % self.num_sets]
@@ -134,6 +135,10 @@ class ReferenceCache:
         line_addr = (byte_addr // self.line_bytes) * self.line_bytes
         return bool(self._set(line_addr).pop(line_addr, False))
 
+    def recall_line(self, byte_addr):
+        self.recalls += 1
+        return self.invalidate_line(byte_addr)
+
     def flush_all(self):
         writebacks = invalidations = 0
         for cache_set in self.sets:
@@ -157,7 +162,8 @@ class ReferenceCache:
         self.flush_invalidations += invalidations
         return writebacks, invalidations
 
-    def resident_within(self, start, nbytes):
+    def resident_lines_within(self, start, nbytes):
+        """Every resident line overlapping the range: sets in order, LRU first."""
         if nbytes <= 0:
             return []
         end = start + nbytes
@@ -168,11 +174,14 @@ class ReferenceCache:
                     found.append(addr)
         return found
 
+    def resident_lines_in_range(self, start, nbytes):
+        return sum(1 for addr in self._lines(start, nbytes) if addr in self._set(addr))
+
     def state(self):
         return [list(cache_set.items()) for cache_set in self.sets]
 
     def stats(self):
-        """The counters in :meth:`CacheStats.as_dict` form (no recalls here)."""
+        """The counters in :meth:`CacheStats.as_dict` form."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -181,7 +190,7 @@ class ReferenceCache:
             "writebacks": self.writebacks,
             "flush_writebacks": self.flush_writebacks,
             "flush_invalidations": self.flush_invalidations,
-            "recalls": 0,
+            "recalls": self.recalls,
         }
 
 
@@ -206,7 +215,9 @@ _addr = st.integers(min_value=0, max_value=_SPAN)
 _nbytes = st.integers(min_value=1, max_value=24 * _LINE)
 
 #: Any cache operation as ``(method, *args)``, with the arguments the
-#: datapath passes (``access_lines`` takes aligned line addresses).
+#: datapath passes (``access_lines`` takes aligned line addresses).  The
+#: residency queries compare their lists in order: the coherent-DMA recall
+#: installs recalled dirty lines in the LLC in that order.
 _any_op = st.one_of(
     st.tuples(st.just("access_range"), _addr, _nbytes, st.booleans(), st.booleans()),
     st.tuples(st.just("access_line_run"), _addr, _nbytes, st.booleans()),
@@ -219,6 +230,9 @@ _any_op = st.one_of(
     st.tuples(st.just("access_line"), _addr, st.booleans(), st.booleans()),
     st.tuples(st.just("flush_range"), _addr, _nbytes),
     st.tuples(st.just("invalidate_line"), _addr),
+    st.tuples(st.just("recall_line"), _addr),
+    st.tuples(st.just("resident_lines_within"), _addr, _nbytes),
+    st.tuples(st.just("resident_lines_in_range"), _addr, _nbytes),
     st.tuples(st.just("flush_all")),
 )
 
@@ -239,7 +253,7 @@ def _replay_against_oracle(ops):
             outcome = _range_outcome(outcome)
         assert outcome == getattr(ref, method)(*args), method
         assert _state_of(cache) == ref.state()
-    assert cache.valid_lines() == sum(len(s) for s in ref.sets)
+    assert cache.num_valid == sum(len(s) for s in ref.sets)
     assert cache.dirty_lines() == sum(sum(s.values()) for s in ref.sets)
     assert cache.stats.as_dict() == ref.stats()
 
@@ -273,11 +287,11 @@ class TestCacheEquivalence:
             elif kind == "invalidate":
                 assert fast.invalidate_line(start) == ref.invalidate_line(start)
             else:
-                assert sorted(fast.resident_lines_within(start, nbytes)) == sorted(
-                    ref.resident_within(start, nbytes)
+                assert fast.resident_lines_within(start, nbytes) == ref.resident_lines_within(
+                    start, nbytes
                 )
             assert _state_of(fast) == ref.state()
-            assert fast.valid_lines() == sum(len(s) for s in ref.sets)
+            assert fast.num_valid == sum(len(s) for s in ref.sets)
 
         assert fast.stats.as_dict() == ref.stats()
 

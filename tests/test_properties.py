@@ -53,8 +53,8 @@ def test_cache_never_exceeds_capacity_and_counts_are_consistent(data):
     capacity_lines = cache.num_sets * cache.ways
     for address, write in accesses:
         cache.access_line(address, write=write)
-        assert cache.valid_lines() <= capacity_lines
-        assert cache.dirty_lines() <= cache.valid_lines()
+        assert cache.num_valid <= capacity_lines
+        assert cache.dirty_lines() <= cache.num_valid
     assert cache.stats.hits + cache.stats.misses == len(accesses)
 
 
@@ -66,11 +66,11 @@ def test_cache_flush_removes_everything_and_reports_dirty_lines(data):
     for address, write in accesses:
         cache.access_line(address, write=write)
     dirty_before = cache.dirty_lines()
-    valid_before = cache.valid_lines()
+    valid_before = cache.num_valid
     writebacks, invalidations = cache.flush_all()
     assert writebacks == dirty_before
     assert invalidations == valid_before
-    assert cache.valid_lines() == 0
+    assert cache.num_valid == 0
 
 
 @given(

@@ -52,7 +52,7 @@ class TestWarmup:
         tiny_soc.warm_buffer(buffer, cpu_index=0)
         partition = tiny_soc.llc_partitions[buffer.segments[0].mem_tile]
         assert partition.occupancy_bytes() >= 8 * KB
-        assert tiny_soc.cpu_l2_caches[0].valid_lines() > 0
+        assert tiny_soc.cpu_l2_caches[0].num_valid > 0
 
     def test_warm_buffer_larger_than_caches_keeps_tail(self, tiny_soc, tiny_config):
         buffer = tiny_soc.allocate_buffer(tiny_config.llc_partition_bytes * 2)
@@ -73,7 +73,7 @@ class TestReset:
         tiny_soc.dram_controllers[0].read(0.0, 1024)
         tiny_soc.reset_state()
         assert tiny_soc.monitors.total_ddr_accesses() == 0
-        assert all(c.valid_lines() == 0 for c in tiny_soc.cpu_l2_caches)
+        assert all(c.num_valid == 0 for c in tiny_soc.cpu_l2_caches)
         assert tiny_soc.engine.now == 0.0
 
     def test_reset_preserves_allocations_by_default(self, tiny_soc):

@@ -8,7 +8,9 @@ the accelerator and communication cycles, the transfer counters, and one
 digest over the statistics of every bandwidth resource, DRAM controller and
 cache.  The values are exact, so a faster transfer path must reproduce the
 arithmetic, not approximate it.  The 1.5 MB buffer spans two big pages on
-both memory tiles, so its windows also cross segment boundaries.
+both memory tiles, so its windows also cross segment boundaries.  A last
+test checks that the NoC link and route latency a plan resolves for each
+memory tile charge exactly what :meth:`MeshNoC.transfer` charges.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.accelerators.library import accelerator_by_name
 from repro.core.policies import FixedPolicy
 from repro.runtime.api import EspRuntime
 from repro.soc.coherence import COHERENCE_MODES
+from repro.soc.config import soc_preset
 from repro.soc.soc import Soc
 from repro.store.io import canonical_digest
 from repro.units import KB
@@ -546,3 +549,20 @@ def test_transfer_path_matches_golden(tiny_config, name, in_place, footprint, mo
         digest,
     )
     assert observed == GOLDEN[case_id(name, in_place, footprint, mode)]
+
+
+@pytest.mark.parametrize("preset", ["SoC1", "SoC3"])
+def test_planned_noc_routes_charge_what_noc_transfer_charges(preset):
+    """The (link, latency) a plan resolves per memory tile charges like MeshNoC.transfer."""
+    planned, routed = Soc(soc_preset(preset)), Soc(soc_preset(preset))
+    for tile in planned.accelerator_tiles():
+        paths = planned.datapath._memory_paths(tile.name)
+        assert len(paths) == planned.config.num_mem_tiles
+        for mem_tile, (_dram, _llc, _port, link, route) in enumerate(paths):
+            name = routed.memory_tile_name(mem_tile)
+            # Repeated start times queue on the shared link.
+            for now, size in ((0.0, 64), (0.0, 1000), (37.5, 4096), (37.5, 96)):
+                assert link.serve(now, size, route) == routed.noc.transfer(
+                    now, tile.name, mem_tile, name, size
+                )
+    assert planned.noc.link_stats() == routed.noc.link_stats()
