@@ -28,8 +28,9 @@ The library is organised as follows:
   requests, bounded what-if evaluations, atomic hot reload on registry
   digest changes, and the SLO-gated deterministic load generator
   (``python -m repro.serving``);
-* :mod:`repro.net` — the shared asyncio keep-alive HTTP/1.1 transport and
-  typed error-envelope machinery every in-repo server is built on;
+* :mod:`repro.net` — the one asyncio keep-alive HTTP/1.1 server (listener
+  lifecycle, framing, request boundary) and the typed error-envelope
+  machinery every in-repo server is built on;
 * :mod:`repro.store` — the unified read side for every digest-bearing
   on-disk document (sweep manifests, cache entries, BENCH reports, model
   artifacts, transfer matrices), one typed reader per format;

@@ -15,7 +15,6 @@ from repro.core.policies import (
     FixedPolicy,
     ManualPolicy,
     RandomPolicy,
-    make_policy,
 )
 from repro.core.qtable import QTable
 from repro.core.reward import RewardComponents, RewardTracker, RewardWeights
@@ -36,5 +35,4 @@ __all__ = [
     "FixedHeterogeneousPolicy",
     "RandomPolicy",
     "ManualPolicy",
-    "make_policy",
 ]

@@ -28,7 +28,7 @@ from repro.core.reward import DEFAULT_REWARD_WEIGHTS, RewardTracker, RewardWeigh
 from repro.core.state import CoherenceState, discretize_snapshot
 from repro.errors import PolicyError
 from repro.runtime.status import SystemSnapshot
-from repro.soc.coherence import COHERENCE_MODES, CoherenceMode, mode_from_label
+from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
 from repro.units import KB
 from repro.utils.rng import SeededRNG
 
@@ -369,24 +369,3 @@ class CohmeleonPolicy(CoherencePolicy):
         """Drop the recorded decisions (keeps the learned Q-table)."""
         self.decisions.clear()
         self._pending.clear()
-
-
-def make_policy(kind: str, rng: Optional[SeededRNG] = None, **kwargs: object) -> CoherencePolicy:
-    """Factory used by the experiment harnesses.
-
-    ``kind`` is one of ``'fixed-<mode-label>'``, ``'fixed-hetero'``,
-    ``'rand'``, ``'manual'``, or ``'cohmeleon'``.
-    """
-    if kind.startswith("fixed-") and kind != "fixed-hetero":
-        return FixedPolicy(mode_from_label(kind[len("fixed-"):]))
-    if kind == "fixed-hetero":
-        mapping = kwargs.get("mode_per_accelerator", {})
-        return FixedHeterogeneousPolicy(mapping)  # type: ignore[arg-type]
-    if kind == "rand":
-        return RandomPolicy(rng=rng)
-    if kind == "manual":
-        return ManualPolicy()
-    if kind == "cohmeleon":
-        weights = kwargs.get("weights", DEFAULT_REWARD_WEIGHTS)
-        return CohmeleonPolicy(weights=weights, rng=rng)  # type: ignore[arg-type]
-    raise PolicyError(f"unknown policy kind {kind!r}")

@@ -11,7 +11,7 @@ runs each accelerator alone on the target SoC across footprints and modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List
 
 from repro.errors import PolicyError
 from repro.soc.coherence import CoherenceMode
@@ -68,17 +68,3 @@ def choose_fixed_heterogeneous(
         name: choose_mode_for_accelerator(entries)
         for name, entries in by_accelerator.items()
     }
-
-
-def profile_summary(profile: Iterable[ProfileEntry]) -> Mapping[str, Mapping[str, float]]:
-    """Summarise a profile as ``{accelerator: {mode: geomean normalised time}}``."""
-    by_accelerator: Dict[str, List[ProfileEntry]] = {}
-    for entry in profile:
-        by_accelerator.setdefault(entry.accelerator_name, []).append(entry)
-    summary: Dict[str, Dict[str, float]] = {}
-    for name, entries in by_accelerator.items():
-        normalised = _normalised_times(entries)
-        summary[name] = {
-            mode.label: geometric_mean(values) for mode, values in normalised.items()
-        }
-    return summary

@@ -26,7 +26,7 @@ from repro.experiments.common import (
 from repro.experiments.phases import figure5_application, training_application
 from repro.experiments.sweep import SweepRunner
 from repro.soc.coherence import COHERENCE_MODES
-from repro.workloads.sizes import WorkloadSizeClass, size_class_of
+from repro.workloads.sizes import size_class_of
 
 #: Row labels of Figure 7: the overall breakdown plus one row per size class.
 BREAKDOWN_CATEGORIES = ("All", "S", "M", "L", "XL")
@@ -115,13 +115,3 @@ def run_breakdown_experiment(
     return BreakdownResult(
         setup_name=setup.name, breakdowns=breakdowns, evaluations=evaluations
     )
-
-
-def workload_size_distribution(
-    invocations: Sequence[InvocationResult], setup: ExperimentSetup
-) -> Dict[str, int]:
-    """Count invocations per workload-size class (diagnostic helper)."""
-    distribution: Dict[str, int] = {cls.value: 0 for cls in WorkloadSizeClass}
-    for invocation in invocations:
-        distribution[size_class_of(invocation.footprint_bytes, setup.soc_config).value] += 1
-    return distribution

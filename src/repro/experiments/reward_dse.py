@@ -15,7 +15,7 @@ degrade noticeably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.policies import CohmeleonPolicy
 from repro.core.reward import RewardWeights
@@ -31,7 +31,7 @@ from repro.experiments.isolation import fixed_hetero_modes
 from repro.experiments.phases import figure5_application, training_application
 from repro.experiments.sweep import SweepRunner
 from repro.utils.rng import SeededRNG
-from repro.utils.stats import geometric_mean
+from repro.utils.stats import geomean_ratio
 from repro.workloads.spec import ApplicationSpec
 
 #: The 15 reward weightings explored (percent weights for execution time,
@@ -98,19 +98,6 @@ class RewardDseResult:
         return front
 
 
-def _geomean_normalised(
-    evaluation_per_phase: Dict[str, float], reference_per_phase: Dict[str, float]
-) -> float:
-    ratios = []
-    for phase_name, reference_value in reference_per_phase.items():
-        value = evaluation_per_phase.get(phase_name, 0.0)
-        if reference_value > 0:
-            ratios.append(value / reference_value)
-        elif value == 0:
-            ratios.append(1.0)
-    return geometric_mean(ratios) if ratios else 0.0
-
-
 def run_reward_dse(
     setup: Optional[ExperimentSetup] = None,
     weightings: Sequence[Tuple[float, float, float]] = REWARD_WEIGHTINGS,
@@ -171,10 +158,10 @@ def run_reward_dse(
             RewardPoint(
                 label=name,
                 weights=weights,
-                norm_exec=_geomean_normalised(
+                norm_exec=geomean_ratio(
                     evaluation.per_phase_exec, reference.per_phase_exec
                 ),
-                norm_mem=_geomean_normalised(
+                norm_mem=geomean_ratio(
                     evaluation.per_phase_ddr, reference.per_phase_ddr
                 ),
                 is_cohmeleon=is_cohmeleon,

@@ -30,7 +30,7 @@ from repro.experiments.common import (
 from repro.experiments.isolation import fixed_hetero_modes
 from repro.experiments.sweep import Job, SweepRunner, SweepSpec, run_spec
 from repro.soc.config import soc_preset
-from repro.utils.stats import geometric_mean
+from repro.utils.stats import geomean_ratio
 from repro.workloads.case_studies import case_study_accelerators, case_study_application
 from repro.workloads.generator import ApplicationGenerator, GeneratorConfig
 
@@ -107,17 +107,6 @@ def figure9_applications(
     return generator.generate_pair()
 
 
-def _geomean_normalised(values: Dict[str, float], reference: Dict[str, float]) -> float:
-    ratios = []
-    for name, reference_value in reference.items():
-        value = values.get(name, 0.0)
-        if reference_value > 0:
-            ratios.append(value / reference_value)
-        elif value == 0:
-            ratios.append(1.0)
-    return geometric_mean(ratios) if ratios else 0.0
-
-
 def _soc_label_job(params: Dict[str, object], rng) -> Dict[str, object]:
     """Sweep job: the full policy comparison on one Figure 9 SoC label."""
     label = str(params["label"])
@@ -183,10 +172,10 @@ def run_soc_comparison(
                 SocComparisonPoint(
                     soc_label=label,
                     policy_name=policy_name,
-                    norm_exec=_geomean_normalised(
+                    norm_exec=geomean_ratio(
                         evaluation.per_phase_exec, reference.per_phase_exec
                     ),
-                    norm_mem=_geomean_normalised(
+                    norm_mem=geomean_ratio(
                         evaluation.per_phase_ddr, reference.per_phase_ddr
                     ),
                 )

@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, TextIO
 
-from repro.errors import SweepError
+from repro.errors import DocumentError, SweepError
 from repro.experiments.sweep.cache import ResultCache
 from repro.experiments.sweep.config import RunConfig, add_runner_arguments
 from repro.experiments.sweep.merge import (
@@ -356,17 +356,27 @@ def _manifest_dir(args: argparse.Namespace) -> Path:
     return Path(args.cache_dir) / "manifests"
 
 
+def _write_json(path: Path, document: object) -> None:
+    """Write ``document`` as indented, key-sorted JSON (parents created)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
 def _main_merge(argv: List[str], out: TextIO) -> int:
-    """Entry point of ``merge-shards``."""
+    """Entry point of ``merge-shards``; every failure is one line and exit 1."""
     args = build_merge_parser().parse_args(argv)
-    cache = ResultCache(args.cache_dir)
-    manifest_dir = _manifest_dir(args)
     try:
-        manifests = discover_shard_manifests(manifest_dir, spec_name=args.spec)
-        report = merge_shards(manifests, cache=cache)
-    except SweepError as exc:
+        return _merge(args, out)
+    except (SweepError, DocumentError, OSError) as exc:
         print(f"merge-shards: {exc}", file=out)
         return 1
+
+
+def _merge(args: argparse.Namespace, out: TextIO) -> int:
+    """Fuse, write and check the shards as ``args`` asks."""
+    cache = ResultCache(args.cache_dir)
+    manifests = discover_shard_manifests(_manifest_dir(args), spec_name=args.spec)
+    report = merge_shards(manifests, cache=cache)
     print(
         f"[merge-shards] spec={report.spec_name} shards={report.shard_count} "
         f"jobs={report.jobs} checksum={report.checksum[:16]}… "
@@ -374,15 +384,10 @@ def _main_merge(argv: List[str], out: TextIO) -> int:
         file=out,
     )
     if args.out is not None:
-        document = fused_results(report, manifests, cache)
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, fused_results(report, manifests, cache))
         print(f"wrote fused results to {args.out}", file=out)
     if args.write_check is not None:
-        args.write_check.parent.mkdir(parents=True, exist_ok=True)
-        args.write_check.write_text(
-            json.dumps(report.check_document(), indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(args.write_check, report.check_document())
         print(f"wrote check document to {args.write_check}", file=out)
     if args.check is not None:
         expected = read_document(args.check)

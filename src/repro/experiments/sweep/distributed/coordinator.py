@@ -46,20 +46,17 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.errors import SweepError
 from repro.experiments.sweep.backends.base import ExecutionBackend, ResultCallback
 from repro.experiments.sweep.distributed.lease import LeaseBoard
+from repro.experiments.sweep.distributed import protocol
 from repro.experiments.sweep.distributed.protocol import (
     DIST_PROTOCOL_VERSION,
     WireError,
     encode_job,
-    error_envelope,
 )
 from repro.experiments.sweep.sweep import Job
 from repro.net.http import JsonHttpServer
 
 #: Largest accepted request body (bytes); larger bodies get a 413 envelope.
 MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: Largest accepted request head (request line + headers, bytes).
-MAX_HEAD_BYTES = 64 * 1024
 
 
 class DistributedBackend(ExecutionBackend, JsonHttpServer):
@@ -79,6 +76,8 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
 
     name = "distributed"
 
+    envelope_for_exception = staticmethod(protocol.envelope_for_exception)
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -90,13 +89,7 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
             raise SweepError(f"jobs_per_lease must be >= 1, got {jobs_per_lease}")
         if lease_timeout <= 0:
             raise SweepError(f"lease_timeout must be > 0, got {lease_timeout}")
-        super().__init__(
-            max_body_bytes=MAX_BODY_BYTES,
-            max_head_bytes=MAX_HEAD_BYTES,
-            wire_error=WireError,
-        )
-        self.host = host
-        self.port = port
+        super().__init__(MAX_BODY_BYTES, WireError, host=host, port=port)
         self.jobs_per_lease = jobs_per_lease
         self.lease_timeout = float(lease_timeout)
         self._thread: Optional[threading.Thread] = None
@@ -112,17 +105,12 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
         self.last_snapshot: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle: a synchronous thread around the shared server coroutines
     # ------------------------------------------------------------------
     @property
     def started(self) -> bool:
         """Whether the coordinator server thread is running."""
         return self._thread is not None and self._thread.is_alive()
-
-    @property
-    def url(self) -> str:
-        """Base URL of the bound coordinator socket."""
-        return f"http://{self.host}:{self.port}"
 
     def start(self) -> None:
         """Start the coordinator server on its background thread."""
@@ -177,18 +165,12 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
         """Bind the socket, publish readiness, serve until stopped."""
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self.handle_connection, host=self.host, port=self.port
-        )
-        self.port = server.sockets[0].getsockname()[1]
+        await JsonHttpServer.start(self)
         self._ready.set()
         try:
-            async with server:
-                await self._stop.wait()
+            await self._stop.wait()
         finally:
-            # Idle keep-alive workers sit in a blocked read; the shared
-            # transport cancels them so no handler outlives the server.
-            await self.cancel_connections()
+            await JsonHttpServer.close(self)
 
     # ------------------------------------------------------------------
     # ExecutionBackend
@@ -253,26 +235,10 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
         self._results = results
 
     # ------------------------------------------------------------------
-    # Routing (transport plumbing lives in repro.net.http)
+    # Routing (the server itself lives in repro.net.http)
     # ------------------------------------------------------------------
-    async def dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict]:
-        """Route one request, mapping every failure to a typed envelope."""
-        try:
-            return self._route(method, path, body)
-        except WireError as exc:
-            return exc.status, exc.envelope()
-        except Exception as exc:  # noqa: BLE001 - boundary: everything becomes JSON
-            return 500, error_envelope(
-                "internal-error", f"unexpected {type(exc).__name__}"
-            )
-
-    def _route(self, method: str, path: str, body: bytes) -> Tuple[int, Dict]:
-        """The route table proper (exceptions handled by ``dispatch``)."""
-        builtin = self.route_builtin(method, path)
-        if builtin is not None:
-            return builtin
+    async def route(self, method: str, path: str, body: bytes) -> Tuple[int, Dict]:
+        """The route table proper (the boundary lives in ``dispatch``)."""
         if path == "/v1/status":
             self.require_method(method, "GET", path)
             return 200, self._status_document()
@@ -377,4 +343,4 @@ def _worker_of(request: object) -> str:
     return str(request["worker"])
 
 
-__all__ = ["DistributedBackend", "MAX_BODY_BYTES", "MAX_HEAD_BYTES"]
+__all__ = ["DistributedBackend", "MAX_BODY_BYTES"]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import base64
 import pickle
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import SweepError
 from repro.experiments.sweep.manifest import payload_digest
@@ -68,6 +68,21 @@ class WireError(EnvelopeError, SweepError):
 def error_envelope(error_type: str, message: str) -> Dict[str, object]:
     """Build the JSON error envelope for ``error_type``."""
     return make_envelope(ERROR_STATUS, error_type, message, SweepError)
+
+
+def envelope_for_exception(exc: BaseException) -> Tuple[int, Dict[str, object]]:
+    """Map an exception to ``(status, envelope)``; never leaks a traceback.
+
+    :class:`WireError` carries its own type.  Anything else is a
+    coordinator bug — the worker gets an opaque ``internal-error`` naming
+    only the exception class, never its message or stack.
+    """
+    if isinstance(exc, WireError):
+        return exc.status, exc.envelope()
+    return (
+        ERROR_STATUS["internal-error"],
+        error_envelope("internal-error", f"unexpected {type(exc).__name__}"),
+    )
 
 
 def encode_job(job: Job) -> Dict[str, object]:
@@ -128,5 +143,6 @@ __all__ = [
     "decode_job",
     "encode_job",
     "encode_result",
+    "envelope_for_exception",
     "error_envelope",
 ]

@@ -123,33 +123,33 @@ def discover_shard_manifests(
 def _validate_shard_set(manifests: Sequence[SweepManifest]) -> int:
     """Check the manifests form one complete shard family; return its count."""
     if not manifests:
-        raise SweepError("merge-shards: no shard manifests found")
+        raise SweepError("no shard manifests found")
     names = {manifest.spec_name for manifest in manifests}
     if len(names) > 1:
         raise SweepError(
-            f"merge-shards: manifests span multiple sweeps {sorted(names)}; "
+            f"manifests span multiple sweeps {sorted(names)}; "
             "pass --spec to select one"
         )
     digests = {manifest.grid_digest for manifest in manifests}
     if len(digests) > 1:
         raise SweepError(
-            "merge-shards: manifests describe different grids "
+            "manifests describe different grids "
             f"({len(digests)} distinct grid digests); shards must come from "
             "identical sweep invocations"
         )
     counts = {manifest.shard.count for manifest in manifests}  # type: ignore[union-attr]
     if len(counts) > 1:
         raise SweepError(
-            f"merge-shards: inconsistent shard counts {sorted(counts)}"
+            f"inconsistent shard counts {sorted(counts)}"
         )
     count = counts.pop()
     indices = sorted(manifest.shard.index for manifest in manifests)  # type: ignore[union-attr]
     if len(indices) != len(set(indices)):
-        raise SweepError(f"merge-shards: duplicate shard indices {indices}")
+        raise SweepError(f"duplicate shard indices {indices}")
     missing = sorted(set(range(1, count + 1)) - set(indices))
     if missing:
         raise SweepError(
-            f"merge-shards: missing shard(s) {missing} of {count}; "
+            f"missing shard(s) {missing} of {count}; "
             f"found indices {indices}"
         )
     return count
@@ -208,7 +208,7 @@ def merge_shards(
                 )
     if problems:
         raise SweepError(
-            "merge-shards validation failed:\n  - " + "\n  - ".join(problems)
+            "shards failed validation:\n  - " + "\n  - ".join(problems)
         )
 
     report = MergeReport(

@@ -27,7 +27,7 @@ from repro.experiments.phases import figure5_application, training_application
 from repro.experiments.sweep import Job, SweepRunner, SweepSpec, run_spec
 from repro.soc.coherence import CoherenceMode
 from repro.utils.rng import SeededRNG
-from repro.utils.stats import geometric_mean
+from repro.utils.stats import geomean_ratio
 from repro.workloads.runner import run_application
 from repro.workloads.spec import ApplicationSpec
 
@@ -81,19 +81,6 @@ class TrainingStudyResult:
         return curve.final_point().iteration
 
 
-def _normalised_geomeans(
-    result_phases: Dict[str, float], reference_phases: Dict[str, float]
-) -> float:
-    ratios = []
-    for name, reference in reference_phases.items():
-        value = result_phases.get(name, 0.0)
-        if reference > 0:
-            ratios.append(value / reference)
-        elif value == 0:
-            ratios.append(1.0)
-    return geometric_mean(ratios) if ratios else 0.0
-
-
 def _evaluate_frozen(
     setup: ExperimentSetup,
     policy: CohmeleonPolicy,
@@ -114,8 +101,8 @@ def _evaluate_frozen(
     per_phase_mem = {phase.name: float(phase.ddr_accesses) for phase in result.phases}
     return TrainingCurvePoint(
         iteration=0,
-        norm_exec=_normalised_geomeans(per_phase_exec, reference_exec),
-        norm_mem=_normalised_geomeans(per_phase_mem, reference_mem),
+        norm_exec=geomean_ratio(per_phase_exec, reference_exec),
+        norm_mem=geomean_ratio(per_phase_mem, reference_mem),
     )
 
 

@@ -24,7 +24,7 @@ from repro.errors import ModelError
 from repro.experiments.common import make_standard_policies, train_policy
 from repro.experiments.sweep import Job, SweepRunner, SweepSpec, run_spec
 from repro.models.artifact import PolicyArtifact, build_provenance
-from repro.scenarios.run import resolve_scenario, scenario_definition_digest
+from repro.scenarios.run import resolve_scenario, scenario_job_params
 from repro.scenarios.scenario import Scenario
 
 
@@ -124,20 +124,7 @@ def train_artifact(
         raise ModelError(
             f"training an artifact needs at least one iteration, got {iterations}"
         )
-    definition = scenario_definition_digest(scenario, seed=run_seed)
-    params: Dict[str, object] = {
-        "scenario": scenario.name,
-        "source": scenario.source,
-        "definition": definition,
-        "policy_kind": "cohmeleon",
-        "seed": run_seed,
-        "training_iterations": iterations,
-    }
-    if scenario.source is None and "generated" in scenario.metadata:
-        # Procedurally generated scenarios exist only in memory; forward
-        # their (spec, index) identity so sweep workers can regenerate
-        # them (see repro.scenarios.generate).
-        params["generated"] = scenario.metadata["generated"]
+    params = scenario_job_params(scenario, "cohmeleon", run_seed, iterations)
     job = Job(
         key="train",
         fn=_train_policy_job,

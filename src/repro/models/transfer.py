@@ -31,7 +31,6 @@ from repro.experiments.common import REFERENCE_POLICY, PolicyEvaluation
 from repro.experiments.sweep import Job, SweepRunner, SweepSpec, run_spec
 from repro.models.artifact import PolicyArtifact
 from repro.scenarios.run import (
-    _geomean_ratio,
     _scenario_policy_job,
     scenario_definition_digest,
     scenario_job_params,
@@ -39,6 +38,7 @@ from repro.scenarios.run import (
 from repro.scenarios.scenario import Scenario
 from repro.store.io import canonical_digest
 from repro.store.readers import MATRIX_FORMAT, MATRIX_VERSION
+from repro.utils.stats import geomean_ratio
 
 
 def _payload_digest(payload: Dict[str, object]) -> str:
@@ -254,10 +254,10 @@ def transfer_matrix(
                     scenario=scenario.name,
                     seed=seeds[scenario.name],
                     digest=_payload_digest(payload),
-                    norm_exec=_geomean_ratio(
+                    norm_exec=geomean_ratio(
                         evaluation.per_phase_exec, reference.per_phase_exec
                     ),
-                    norm_mem=_geomean_ratio(
+                    norm_mem=geomean_ratio(
                         evaluation.per_phase_ddr, reference.per_phase_ddr
                     ),
                     exec_cycles=evaluation.result.total_execution_cycles,

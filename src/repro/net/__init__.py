@@ -18,9 +18,14 @@ its own copy:
   for wire errors that carry their own envelope type.  A traceback never
   crosses the wire.
 * :mod:`repro.net.http` — :class:`~repro.net.http.JsonHttpServer`, the
-  asyncio keep-alive HTTP/1.1 transport: request framing with head/body
-  caps, connection-task teardown, JSON response serialisation, and the
-  shared ``/healthz`` route.
+  asyncio keep-alive HTTP/1.1 server: the listener lifecycle (bind,
+  ephemeral-port resolution, teardown that cancels open connections,
+  ``async with`` and ``serve_forever``), request framing with the one
+  head cap and a per-service body cap, JSON response serialisation, the
+  shared ``/healthz`` route, and the request boundary that maps any
+  exception a route raises through the service's own
+  ``envelope_for_exception``.  A server subclass keeps only its route
+  table and health document.
 
 Deliberately framework-free: the protocol surface is a handful of routes
 exchanging single JSON documents, and a web framework would be the only

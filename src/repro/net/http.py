@@ -1,13 +1,17 @@
-"""The shared asyncio keep-alive HTTP/1.1 transport.
+"""The shared asyncio keep-alive HTTP/1.1 server.
 
 :class:`JsonHttpServer` is the one implementation of the hand-rolled
-HTTP/1.1 dialect every in-repo server speaks: request-line + headers +
-``Content-Length`` body framing with head/body caps, keep-alive
-connection handling with cancel-on-teardown, JSON responses serialised
-with sorted keys, and the ``/healthz`` liveness route.  Subclasses
-provide the route table (:meth:`JsonHttpServer.dispatch`) and the
-health document (:meth:`JsonHttpServer.healthz_document`); everything
-that frames bytes on the socket lives here, once.
+HTTP/1.1 dialect every in-repo server speaks, and of everything around
+the route table: the listener lifecycle (bind, resolve an ephemeral
+port, stop listening, cancel open connections), request-line + headers
++ ``Content-Length`` body framing with head/body caps, keep-alive
+connection handling, JSON responses serialised with sorted keys, the
+``/healthz`` liveness route, and the request boundary that turns any
+exception into a typed envelope.  Subclasses provide the route table
+(:meth:`JsonHttpServer.route`), the health document
+(:meth:`JsonHttpServer.healthz_document`) and the exception mapping
+(:meth:`JsonHttpServer.envelope_for_exception`, owned by each service's
+protocol module); everything that touches the socket lives here, once.
 
 Framing errors (malformed request line, a ``Content-Length`` that is not
 ASCII digits or that is repeated with a different value, oversized head
@@ -27,6 +31,11 @@ from typing import Dict, Optional, Tuple, Type
 
 from repro.net.envelope import EnvelopeError
 
+#: Largest accepted request head (request line + headers, bytes).  It is
+#: also each connection's stream-reader limit, which stops most longer heads
+#: before the head check in :meth:`JsonHttpServer.read_request` sees them.
+MAX_HEAD_BYTES = 64 * 1024
+
 #: Reason phrases for every status any in-repo service emits.
 STATUS_REASON: Dict[int, str] = {
     200: "OK",
@@ -41,45 +50,138 @@ STATUS_REASON: Dict[int, str] = {
 
 
 class JsonHttpServer:
-    """Keep-alive JSON-over-HTTP/1.1 transport shared by every server.
+    """Keep-alive JSON-over-HTTP/1.1 server shared by every service.
 
-    Subclasses implement :meth:`dispatch` (the route table, mapping every
-    failure to a typed envelope — nothing may escape it) and
-    :meth:`healthz_document`, and may override :meth:`on_framing_error`
-    to observe framing failures (e.g. for stats counters).  The transport
-    itself never raises into the event loop: connection resets and
-    cancellation on teardown are swallowed after cleanup.
+    Subclasses implement :meth:`route` (the route table; it may raise
+    anything), :meth:`healthz_document` and :meth:`envelope_for_exception`,
+    and may override :meth:`on_framing_error` to observe framing failures
+    (e.g. for stats counters).  The server itself never raises into the
+    event loop: connection resets and cancellation on teardown are
+    swallowed after cleanup.
+
+    Use as an async context manager (``async with server``), call
+    :meth:`start`/:meth:`close` explicitly, or run :meth:`serve_forever`.
     """
 
     def __init__(
         self,
         max_body_bytes: int,
-        max_head_bytes: int,
         wire_error: Type[EnvelopeError],
+        host: str = "127.0.0.1",
+        port: int = 0,
     ) -> None:
         #: Largest accepted request body (bytes); larger gets a 413 envelope.
         self.max_body_bytes = int(max_body_bytes)
-        #: Largest accepted request head (request line + headers, bytes).
-        self.max_head_bytes = int(max_head_bytes)
         #: The service's :class:`EnvelopeError` subclass for wire errors.
         self.wire_error = wire_error
+        self.host = host
+        #: The bound port once started (``0`` asks for an ephemeral one).
+        self.port = port
+        self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
 
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
-    async def dispatch(
+    async def route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        """Route one request; subclasses map every failure to an envelope."""
+        """Serve one request other than ``/healthz``; may raise anything."""
         raise NotImplementedError
 
     def healthz_document(self) -> Dict[str, object]:
         """The liveness document served on ``GET /healthz``."""
         raise NotImplementedError
 
+    def envelope_for_exception(
+        self, exc: Exception
+    ) -> Tuple[int, Dict[str, object]]:
+        """Map a failed request's exception to ``(status, envelope)``."""
+        raise NotImplementedError
+
     def on_framing_error(self, exc: EnvelopeError) -> None:
         """Hook invoked before a framing error's envelope is written."""
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    async def start(self) -> None:
+        """Bind the listening socket and resolve an ephemeral port."""
+        if self._server is not None:
+            # The service's own domain error (ServingError, TrackingError).
+            raise self.wire_error.unknown_error("server is already running")
+        self._server = await asyncio.start_server(
+            self.handle_connection,
+            host=self.host,
+            port=self.port,
+            limit=MAX_HEAD_BYTES,
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def close(self) -> None:
+        """Stop listening and cancel every open connection (idempotent).
+
+        Idle keep-alive connections sit in a blocked read; cancelling them
+        ensures no handler task outlives the server.  It comes before
+        ``wait_closed``, which newer Pythons make wait for every connection.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for task in list(self._connections):
+            task.cancel()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
+            self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
+
+    async def serve_forever(self) -> None:
+        """Serve until cancelled, then close.
+
+        Starts the server only if it is not already running — a CLI
+        starts it eagerly so its banner can print the resolved port.
+        """
+        if not self.started:
+            await self.start()
+        try:
+            await asyncio.Event().wait()
+        finally:
+            await self.close()
+
+    async def __aenter__(self) -> "JsonHttpServer":
+        """Start the server on entry."""
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        """Close the server on exit."""
+        await self.close()
+
+    @property
+    def started(self) -> bool:
+        """Whether the listening socket is currently bound."""
+        return self._server is not None
+
+    @property
+    def url(self) -> str:
+        """Base URL of the bound listening socket."""
+        return f"http://{self.host}:{self.port}"
+
+    # ------------------------------------------------------------------
+    # The request boundary
+    # ------------------------------------------------------------------
+    async def dispatch(
+        self, method: str, path: str, body: bytes
+    ) -> Tuple[int, Dict[str, object]]:
+        """Answer one request; every failure becomes a typed envelope."""
+        try:
+            if path == "/healthz":
+                self.require_method(method, "GET", path)
+                return 200, self.healthz_document()
+            return await self.route(method, path, body)
+        except Exception as exc:  # noqa: BLE001 - boundary: everything becomes JSON
+            return self.envelope_for_exception(exc)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -122,19 +224,6 @@ class JsonHttpServer:
                 self._connections.discard(task)
             writer.close()
 
-    async def cancel_connections(self) -> None:
-        """Cancel and await every open connection-handler task.
-
-        Idle keep-alive connections sit in a blocked read; cancelling
-        them on teardown ensures no handler task outlives the server
-        (and trips the event loop's "task was destroyed" noise).
-        """
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-            self._connections.clear()
-
     # ------------------------------------------------------------------
     # Request/response framing
     # ------------------------------------------------------------------
@@ -152,7 +241,7 @@ class JsonHttpServer:
             raise self.wire_error(
                 "payload-too-large", "request head exceeds the server limit"
             ) from exc
-        if len(head) > self.max_head_bytes:
+        if len(head) > MAX_HEAD_BYTES:
             raise self.wire_error(
                 "payload-too-large", "request head exceeds the server limit"
             )
@@ -220,15 +309,6 @@ class JsonHttpServer:
     # ------------------------------------------------------------------
     # Route helpers
     # ------------------------------------------------------------------
-    def route_builtin(
-        self, method: str, path: str
-    ) -> Optional[Tuple[int, Dict[str, object]]]:
-        """Serve the routes every server shares; ``None`` if not one."""
-        if path == "/healthz":
-            self.require_method(method, "GET", path)
-            return 200, self.healthz_document()
-        return None
-
     def require_method(self, method: str, expected: str, path: str) -> None:
         """Reject a request whose method does not match the route."""
         if method != expected:
@@ -250,4 +330,4 @@ class JsonHttpServer:
             ) from exc
 
 
-__all__ = ["JsonHttpServer", "STATUS_REASON"]
+__all__ = ["JsonHttpServer", "MAX_HEAD_BYTES", "STATUS_REASON"]

@@ -168,10 +168,6 @@ class SystemStatus:
         """Record that the invocation on ``tile_name`` has completed."""
         return self._active.pop(tile_name, None)
 
-    def is_tile_busy(self, tile_name: str) -> bool:
-        """Whether an invocation is currently running on ``tile_name``."""
-        return tile_name in self._active
-
     @property
     def active_invocations(self) -> List[ActiveInvocation]:
         """All invocations currently in flight."""

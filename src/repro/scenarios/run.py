@@ -26,7 +26,7 @@ from repro.experiments.common import (
 from repro.experiments.sweep import Job, SweepRunner, SweepSpec, run_spec
 from repro.experiments.sweep.sweep import canonical_json
 from repro.scenarios.scenario import Scenario
-from repro.utils.stats import geometric_mean
+from repro.utils.stats import geomean_ratio
 from repro.utils.tables import format_table
 
 
@@ -280,10 +280,10 @@ class ScenarioRunResult:
                 }
                 continue
             table[name] = {
-                "exec": _geomean_ratio(
+                "exec": geomean_ratio(
                     evaluation.per_phase_exec, reference.per_phase_exec
                 ),
-                "mem": _geomean_ratio(evaluation.per_phase_ddr, reference.per_phase_ddr),
+                "mem": geomean_ratio(evaluation.per_phase_ddr, reference.per_phase_ddr),
             }
         return table
 
@@ -319,18 +319,6 @@ class ScenarioRunResult:
             title=f"Scenario {self.scenario_name} (seed {self.seed}, "
             f"normalized to {self.reference_policy}{pretrained_note})",
         )
-
-
-def _geomean_ratio(values: Dict[str, float], reference: Dict[str, float]) -> float:
-    """Geometric mean of per-phase ratios against a reference (socs.py idiom)."""
-    ratios = []
-    for phase_name, reference_value in reference.items():
-        value = values.get(phase_name, 0.0)
-        if reference_value > 0:
-            ratios.append(value / reference_value)
-        elif value == 0:
-            ratios.append(1.0)
-    return geometric_mean(ratios) if ratios else 0.0
 
 
 def run_scenario(

@@ -8,8 +8,9 @@ The serving stack turns a registered trained-policy artifact
   once by :meth:`~repro.core.qtable.QTable.best_modes` and indexed by
   every single or batched decision, bounded what-if scenario evaluations,
   and the stats/histogram machinery;
-* :mod:`repro.serving.http` — the asyncio HTTP/1.1 transport (stdlib
-  only, no framework);
+* :mod:`repro.serving.http` — the route table, what-if executor and
+  reload loop over the shared :mod:`repro.net` server (stdlib only, no
+  framework);
 * :mod:`repro.serving.protocol` — wire formats, state parsing, and the
   typed error-envelope vocabulary;
 * :mod:`repro.serving.client` — the minimal asyncio client the load
@@ -25,7 +26,7 @@ contract.
 """
 
 from repro.serving.client import ServingClient
-from repro.serving.http import ServingServer, serve_forever
+from repro.serving.http import ServingServer
 from repro.serving.loadtest import LoadReport, check_slo, run_load, slo_for_scale
 from repro.serving.protocol import (
     ERROR_STATUS,
@@ -48,6 +49,5 @@ __all__ = [
     "check_slo",
     "error_envelope",
     "run_load",
-    "serve_forever",
     "slo_for_scale",
 ]

@@ -30,7 +30,7 @@ from typing import List, Optional, TextIO
 from repro.errors import DocumentError, ReproError, ServingError
 from repro.store.io import read_document
 from repro.models.registry import DEFAULT_MODELS_DIR, ModelRegistry
-from repro.serving.http import ServingServer, serve_forever
+from repro.serving.http import ServingServer
 from repro.serving.loadtest import check_slo, run_load, slo_for_scale
 from repro.serving.service import (
     DEFAULT_MAX_BATCH,
@@ -176,7 +176,7 @@ def run_serve(
             file=stream,
             flush=True,
         )
-        await serve_forever(server)
+        await server.serve_forever()
 
     try:
         asyncio.run(_serve())

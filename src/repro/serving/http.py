@@ -1,11 +1,12 @@
-"""Asyncio HTTP/1.1 transport for the policy-serving service.
+"""The routes of the policy-serving service.
 
 :class:`ServingServer` is a :class:`repro.net.http.JsonHttpServer` — the
-shared keep-alive HTTP/1.1 transport — wrapping a
-:class:`~repro.serving.service.PolicyService`.  Everything that frames
-bytes on the socket (request parsing, body caps, connection teardown,
-JSON responses) lives in :mod:`repro.net`; this module owns the route
-table and the serving-specific lifecycle.
+shared keep-alive HTTP/1.1 server — wrapping a
+:class:`~repro.serving.service.PolicyService`.  The listener lifecycle,
+request framing, body caps, connection teardown, JSON responses and the
+exception boundary live in :mod:`repro.net`; this module owns the route
+table, the health document, the what-if executor, the reload loop and
+the per-request stats.
 
 Concurrency model:
 
@@ -32,14 +33,12 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ServingError
 from repro.net.envelope import EnvelopeError
 from repro.net.http import JsonHttpServer
-from repro.serving.protocol import RequestError, envelope_for_exception
+from repro.serving import protocol
+from repro.serving.protocol import RequestError
 from repro.serving.service import PolicyService
 
 #: Largest accepted request body (bytes); larger bodies get a 413 envelope.
 MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Largest accepted request head (request line + headers, bytes).
-MAX_HEAD_BYTES = 64 * 1024
 
 
 class ServingServer(JsonHttpServer):
@@ -57,6 +56,8 @@ class ServingServer(JsonHttpServer):
     call :meth:`start`/:meth:`close` explicitly.
     """
 
+    envelope_for_exception = staticmethod(protocol.envelope_for_exception)
+
     def __init__(
         self,
         service: PolicyService,
@@ -64,33 +65,21 @@ class ServingServer(JsonHttpServer):
         port: int = 0,
         reload_interval: float = 1.0,
     ) -> None:
-        super().__init__(
-            max_body_bytes=MAX_BODY_BYTES,
-            max_head_bytes=MAX_HEAD_BYTES,
-            wire_error=RequestError,
-        )
+        super().__init__(MAX_BODY_BYTES, RequestError, host=host, port=port)
         self.service = service
-        self.host = host
-        self.port = port
         self.reload_interval = float(reload_interval)
-        self._server: Optional[asyncio.AbstractServer] = None
         self._reload_task: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle (binding and teardown live in repro.net.http)
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the listening socket and start the reload loop."""
-        if self._server is not None:
-            raise ServingError("server is already running")
+        await super().start()
         self._executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-whatif"
         )
-        self._server = await asyncio.start_server(
-            self.handle_connection, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
         if self.reload_interval > 0:
             self._reload_task = asyncio.ensure_future(self._reload_loop())
 
@@ -103,33 +92,10 @@ class ServingServer(JsonHttpServer):
             except asyncio.CancelledError:
                 pass
             self._reload_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self.cancel_connections()
+        await super().close()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-
-    async def __aenter__(self) -> "ServingServer":
-        """Start the server on entry."""
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        """Close the server on exit."""
-        await self.close()
-
-    @property
-    def started(self) -> bool:
-        """Whether the listening socket is currently bound."""
-        return self._server is not None
-
-    @property
-    def url(self) -> str:
-        """Base URL of the bound listening socket."""
-        return f"http://{self.host}:{self.port}"
 
     async def _reload_loop(self) -> None:
         """Poll for registry changes; failures keep the old model serving."""
@@ -156,27 +122,20 @@ class ServingServer(JsonHttpServer):
     async def dispatch(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        """Route one request and map every failure to a typed envelope."""
+        """Answer one request, counting it and any error in the stats."""
         start = time.perf_counter()
-        try:
-            status, document = await self._route(method, path, body)
-        except Exception as exc:  # noqa: BLE001 - boundary: everything becomes JSON
-            status, document = envelope_for_exception(exc)
-            error = document.get("error")
-            if isinstance(error, dict):
-                self.service.stats.record_error(str(error.get("type")))
+        status, document = await super().dispatch(method, path, body)
+        if status >= 400:
+            self.service.stats.record_error(str(document["error"]["type"]))
         self.service.stats.record_request(
             f"{method} {path}", (time.perf_counter() - start) * 1000.0
         )
         return status, document
 
-    async def _route(
+    async def route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        """The route table proper (exceptions handled by ``dispatch``)."""
-        builtin = self.route_builtin(method, path)
-        if builtin is not None:
-            return builtin
+        """The route table proper (the boundary lives in ``dispatch``)."""
         if path == "/stats":
             self.require_method(method, "GET", path)
             return 200, self.service.stats_snapshot()
@@ -207,25 +166,7 @@ class ServingServer(JsonHttpServer):
         raise RequestError("not-found", f"no route for {path!r}")
 
 
-async def serve_forever(server: ServingServer) -> None:
-    """Run ``server`` until cancelled (the CLI entry point's main loop).
-
-    Starts the server only if it is not already running — the CLI starts
-    it eagerly so the banner can print the resolved ephemeral port — and
-    closes it on the way out.
-    """
-    if not server.started:
-        await server.start()
-    try:
-        while True:
-            await asyncio.sleep(3600)
-    finally:
-        await server.close()
-
-
 __all__ = [
     "MAX_BODY_BYTES",
-    "MAX_HEAD_BYTES",
     "ServingServer",
-    "serve_forever",
 ]

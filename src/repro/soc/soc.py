@@ -120,11 +120,6 @@ class Soc:
         tiles = [t for t in self.tiles if t.tile_type is TileType.ACCELERATOR]
         return sorted(tiles, key=lambda t: t.index)
 
-    def cpu_tiles(self) -> List[Tile]:
-        """All processor tiles in index order."""
-        tiles = [t for t in self.tiles if t.tile_type is TileType.CPU]
-        return sorted(tiles, key=lambda t: t.index)
-
     def memory_tile_name(self, mem_tile: int) -> str:
         """Name of the memory tile with the given index."""
         name = f"mem{mem_tile}"

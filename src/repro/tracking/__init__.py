@@ -13,12 +13,12 @@ Modules:
   transport-free read side (runs, models, bench trajectory).
 * :mod:`repro.tracking.protocol` — the typed error-envelope vocabulary.
 * :mod:`repro.tracking.http` — :class:`TrackingServer`, the GET-only
-  JSON/HTTP transport.
+  route table over the shared :mod:`repro.net` server.
 * :mod:`repro.tracking.cli` — ``python -m repro.tracking``
   (``serve`` / ``runs`` / ``run`` / ``models`` / ``bench``).
 """
 
-from repro.tracking.http import TrackingServer, serve_forever
+from repro.tracking.http import TrackingServer
 from repro.tracking.protocol import (
     ERROR_STATUS,
     TRACKING_PROTOCOL_VERSION,
@@ -37,5 +37,4 @@ __all__ = [
     "TrackingService",
     "envelope_for_exception",
     "error_envelope",
-    "serve_forever",
 ]

@@ -28,7 +28,7 @@ from typing import List, Optional, TextIO
 
 from repro.errors import ReproError
 from repro.models.registry import DEFAULT_MODELS_DIR
-from repro.tracking.http import TrackingServer, serve_forever
+from repro.tracking.http import TrackingServer
 from repro.tracking.service import DEFAULT_TOLERANCE, TrackingService
 
 
@@ -130,7 +130,7 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
     async def _serve() -> None:
         await server.start()
         print(f"tracking API on {server.url}", file=out, flush=True)
-        await serve_forever(server)
+        await server.serve_forever()
 
     try:
         asyncio.run(_serve())

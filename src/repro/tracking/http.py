@@ -1,4 +1,4 @@
-"""Asyncio HTTP/1.1 transport for the experiment-tracking service.
+"""The routes of the experiment-tracking service.
 
 :class:`TrackingServer` is the third :class:`repro.net.http.JsonHttpServer`
 in the repository (after the policy server and the sweep coordinator) and
@@ -7,28 +7,23 @@ loop by one :class:`~repro.tracking.service.TrackingService` call, which
 reads the underlying documents through :mod:`repro.store` on every
 request.  There is no cache, no executor, and no background task — the
 documents on disk *are* the state, so serving stays consistent with the
-checkout by construction.
+checkout by construction.  The listener lifecycle, framing and the
+exception boundary live in :mod:`repro.net`; this module keeps only the
+route table and the health document.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.errors import TrackingError
 from repro.net.http import JsonHttpServer
-from repro.tracking.protocol import (
-    TrackingRequestError,
-    envelope_for_exception,
-)
+from repro.tracking import protocol
+from repro.tracking.protocol import TrackingRequestError
 from repro.tracking.service import TrackingService
 
 #: Largest accepted request body; tracking requests carry no body, so
 #: anything beyond a small allowance is a client error.
 MAX_BODY_BYTES = 1024 * 1024
-
-#: Largest accepted request head (request line + headers, bytes).
-MAX_HEAD_BYTES = 64 * 1024
 
 #: Route prefixes of the two parameterised document routes.
 _RUN_PREFIX = "/v1/runs/"
@@ -51,82 +46,28 @@ class TrackingServer(JsonHttpServer):
     or call :meth:`start`/:meth:`close` explicitly.
     """
 
+    envelope_for_exception = staticmethod(protocol.envelope_for_exception)
+
     def __init__(
         self,
         service: TrackingService,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        super().__init__(
-            max_body_bytes=MAX_BODY_BYTES,
-            max_head_bytes=MAX_HEAD_BYTES,
-            wire_error=TrackingRequestError,
-        )
+        super().__init__(MAX_BODY_BYTES, TrackingRequestError, host=host, port=port)
         self.service = service
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listening socket."""
-        if self._server is not None:
-            raise TrackingError("server is already running")
-        self._server = await asyncio.start_server(
-            self.handle_connection, host=self.host, port=self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def close(self) -> None:
-        """Stop accepting and tear down the open connections."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self.cancel_connections()
-
-    async def __aenter__(self) -> "TrackingServer":
-        """Start the server on entry."""
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        """Close the server on exit."""
-        await self.close()
-
-    @property
-    def started(self) -> bool:
-        """Whether the listening socket is currently bound."""
-        return self._server is not None
-
-    @property
-    def url(self) -> str:
-        """Base URL of the bound listening socket."""
-        return f"http://{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------
-    # Routing (transport plumbing lives in repro.net.http)
+    # Routing (the server itself lives in repro.net.http)
     # ------------------------------------------------------------------
     def healthz_document(self) -> Dict[str, object]:
         """Liveness + visible document counts for ``/healthz``."""
         return self.service.healthz()
 
-    async def dispatch(
+    async def route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        """Route one request and map every failure to a typed envelope."""
-        try:
-            return self._route(method, path)
-        except Exception as exc:  # noqa: BLE001 - boundary: everything becomes JSON
-            return envelope_for_exception(exc)
-
-    def _route(self, method: str, path: str) -> Tuple[int, Dict[str, object]]:
-        """The route table proper (exceptions handled by ``dispatch``)."""
-        builtin = self.route_builtin(method, path)
-        if builtin is not None:
-            return builtin
+        """The route table proper (the boundary lives in ``dispatch``)."""
         if path == "/v1/runs":
             self.require_method(method, "GET", path)
             return 200, self.service.runs()
@@ -145,20 +86,7 @@ class TrackingServer(JsonHttpServer):
         raise TrackingRequestError("not-found", f"no route for {path!r}")
 
 
-async def serve_forever(server: TrackingServer) -> None:
-    """Run ``server`` until cancelled (the CLI entry point's main loop)."""
-    if not server.started:
-        await server.start()
-    try:
-        while True:
-            await asyncio.sleep(3600)
-    finally:
-        await server.close()
-
-
 __all__ = [
     "MAX_BODY_BYTES",
-    "MAX_HEAD_BYTES",
     "TrackingServer",
-    "serve_forever",
 ]

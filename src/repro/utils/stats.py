@@ -34,6 +34,24 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in items) / len(items))
 
 
+def geomean_ratio(values: Mapping[str, float], reference: Mapping[str, float]) -> float:
+    """Geometric mean of the per-key ratios ``values[key] / reference[key]``.
+
+    This is how the paper aggregates per-phase execution time and off-chip
+    accesses against a reference policy.  A key missing from ``values``
+    counts as 0; a key whose reference is 0 contributes 1.0 when its value
+    is 0 too, and nothing otherwise.  With no ratio at all the result is 0.0.
+    """
+    ratios = []
+    for key, reference_value in reference.items():
+        value = values.get(key, 0.0)
+        if reference_value > 0:
+            ratios.append(value / reference_value)
+        elif value == 0:
+            ratios.append(1.0)
+    return geometric_mean(ratios) if ratios else 0.0
+
+
 def normalize(values: Mapping[str, float], reference_key: str) -> Dict[str, float]:
     """Normalise every entry of ``values`` to the entry at ``reference_key``.
 

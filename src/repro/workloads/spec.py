@@ -11,7 +11,7 @@ serially over it, optionally looping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -92,28 +92,3 @@ class ApplicationSpec:
     def phase_names(self) -> List[str]:
         """Names of the phases in order."""
         return [phase.name for phase in self.phases]
-
-
-def make_phase(
-    name: str,
-    chains: Sequence[Sequence[str]],
-    footprints: Sequence[int],
-    loop_counts: Sequence[int],
-    num_cpus: int,
-) -> PhaseSpec:
-    """Convenience constructor pairing chains, footprints, and loop counts."""
-    if not (len(chains) == len(footprints) == len(loop_counts)):
-        raise ConfigurationError("chains, footprints, and loop_counts must align")
-    threads = tuple(
-        ThreadSpec(
-            thread_id=f"{name}-t{index}",
-            accelerator_chain=tuple(chain),
-            footprint_bytes=footprint,
-            loop_count=loops,
-            cpu_index=index % max(num_cpus, 1),
-        )
-        for index, (chain, footprint, loops) in enumerate(
-            zip(chains, footprints, loop_counts)
-        )
-    )
-    return PhaseSpec(name=name, threads=threads)

@@ -17,7 +17,6 @@ from repro.experiments import report
 from repro.experiments.breakdown import (
     breakdown_from_invocations,
     run_breakdown_experiment,
-    workload_size_distribution,
 )
 from repro.experiments.common import (
     STANDARD_POLICY_KINDS,
@@ -338,14 +337,6 @@ class TestBreakdown:
     def test_breakdown_from_invocations_requires_data(self, quick_setup):
         with pytest.raises(ExperimentError):
             breakdown_from_invocations("p", [], quick_setup)
-
-    def test_workload_size_distribution(self, quick_setup):
-        soc, runtime = build_runtime(quick_setup, FixedPolicy(CoherenceMode.COH_DMA))
-        from repro.workloads.runner import run_application
-
-        result = run_application(soc, runtime, quick_app(quick_setup, threads=2))
-        distribution = workload_size_distribution(result.invocations, quick_setup)
-        assert sum(distribution.values()) == len(result.invocations)
 
 
 class TestTrainingStudy:

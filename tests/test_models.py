@@ -224,6 +224,28 @@ def test_retraining_hits_the_cache_and_is_name_independent(quickstart_training):
     assert rerun.artifact.name == "different-name"
 
 
+def test_training_job_fingerprint_is_pinned(monkeypatch):
+    """The training job's fingerprint (and so every cached training) holds."""
+    import repro.models.train as train_module
+
+    class Captured(Exception):
+        pass
+
+    jobs = []
+
+    def capture(spec, runner):
+        jobs.extend(spec.jobs)
+        raise Captured
+
+    monkeypatch.setattr(train_module, "run_spec", capture)
+    with pytest.raises(Captured):
+        train_artifact(get_scenario("quickstart"), "pin", seed=7, training_iterations=3)
+    (job,) = jobs
+    assert job.fingerprint() == (
+        "a70a9bad0dea32988486d30f94745ea850f76260a22393f9981003dfc38f3798"
+    )
+
+
 def test_train_requires_a_positive_schedule(quickstart_training):
     with pytest.raises(ModelError, match="at least one iteration"):
         train_artifact(

@@ -5,11 +5,15 @@ coordinator, the tracking API) all frame bytes through
 :class:`repro.net.http.JsonHttpServer` and build their typed error
 envelopes through :mod:`repro.net.envelope`.  These tests pin the shared
 machinery itself: vocabulary validation at construction, envelope shape,
-the per-service ``wire_error`` wiring, the status/reason table, and the
-``Content-Length`` framing rule.  The framing rule is checked over raw
-sockets against a live policy server: every server reads requests through
-the same :meth:`JsonHttpServer.read_request`.  The wire behavior of each
-concrete server stays pinned by its own suite (``test_serving*.py``,
+the per-service ``wire_error`` wiring, the status/reason table, the
+``Content-Length`` framing rule, and the request boundary.  The framing
+rule is checked over raw sockets against a live policy server: every
+server reads requests through the same :meth:`JsonHttpServer.read_request`.
+The boundary is checked byte for byte on all three servers: the reply to
+an unknown route, a wrong method, each framing error and an internal
+error, recorded before the listener lifecycle and the exception boundary
+moved into :class:`JsonHttpServer`.  The rest of each server's wire
+behavior stays pinned by its own suite (``test_serving*.py``,
 ``test_sweep_distributed.py``, ``test_tracking.py``).
 """
 
@@ -114,11 +118,13 @@ class TestStatusReason:
             vocabulary = {"invalid-request": 400}
             unknown_error = ReproError
 
-        server = JsonHttpServer(
-            max_body_bytes=1, max_head_bytes=1, wire_error=Dummy
-        )
+        server = JsonHttpServer(max_body_bytes=1, wire_error=Dummy)
         with pytest.raises(NotImplementedError):
             server.healthz_document()
+        with pytest.raises(NotImplementedError):
+            asyncio.run(server.route("GET", "/", b""))
+        with pytest.raises(NotImplementedError):
+            server.envelope_for_exception(RuntimeError())
 
 
 #: A 13-byte decision request body.
@@ -191,3 +197,214 @@ class TestContentLengthFraming:
         )
         assert _split(repeated)[0] == 200
         assert repeated == plain
+
+
+# ----------------------------------------------------------------------
+# The request boundary of every server, byte for byte
+# ----------------------------------------------------------------------
+def _head(method, path):
+    """A raw body-less request asking the server to hang up after replying."""
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+        "Content-Length: 0\r\n\r\n"
+    ).encode("latin-1")
+
+
+_PAD = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+
+#: A request head well past the 64 KB cap: the stream reader's limit stops it.
+OVERSIZED_HEAD = _PAD + b"a" * (64 * 1024) + b"\r\n\r\n"
+
+#: A 65537-byte head the stream reader still returns whole (its limit
+#: bounds where the blank line starts); the server's own cap stops it.
+HEAD_ONE_BYTE_OVER = _PAD + b"a" * (64 * 1024 + 1 - len(_PAD) - 4) + b"\r\n\r\n"
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("secret detail")
+
+
+def _reply(status, reason, document, length):
+    """The framed bytes of one error reply (the server always hangs up)."""
+    return (
+        f"HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+    ).encode("latin-1") + document
+
+
+#: Replies every server gives the same way, recorded before the listener
+#: lifecycle and the exception boundary moved into ``JsonHttpServer``.
+COMMON_REPLIES = {
+    "unknown-route": _reply(
+        404, "Not Found",
+        b'{"error": {"message": "no route for \'/nope\'", "status": 404, '
+        b'"type": "not-found"}}',
+        82,
+    ),
+    "healthz-wrong-method": _reply(
+        400, "Bad Request",
+        b'{"error": {"message": "/healthz expects GET, got POST", "status": 400, '
+        b'"type": "invalid-request"}}',
+        98,
+    ),
+    "malformed-request-line": _reply(
+        400, "Bad Request",
+        b'{"error": {"message": "malformed request line \'GARBAGE\'", '
+        b'"status": 400, "type": "invalid-request"}}',
+        100,
+    ),
+    "oversized-head": _reply(
+        413, "Payload Too Large",
+        b'{"error": {"message": "request head exceeds the server limit", '
+        b'"status": 413, "type": "payload-too-large"}}',
+        107,
+    ),
+}
+COMMON_REPLIES["head-one-byte-over"] = COMMON_REPLIES["oversized-head"]
+
+_INTERNAL_ERROR = _reply(
+    500, "Internal Server Error",
+    b'{"error": {"message": "internal server error (RuntimeError)", '
+    b'"status": 500, "type": "internal-error"}}',
+    103,
+)
+
+#: Per server: the route sent with the wrong method and its reply, and the
+#: handler made to raise (owner, attribute, route) with the reply.
+SERVER_CASES = {
+    "serving": (
+        ("GET", "/v1/decide"),
+        _reply(
+            400, "Bad Request",
+            b'{"error": {"message": "/v1/decide expects POST, got GET", '
+            b'"status": 400, "type": "invalid-request"}}',
+            100,
+        ),
+        ("repro.serving.service.PolicyService", "stats_snapshot", "/stats"),
+        _INTERNAL_ERROR,
+    ),
+    "tracking": (
+        ("POST", "/v1/runs"),
+        _reply(
+            400, "Bad Request",
+            b'{"error": {"message": "/v1/runs expects GET, got POST", '
+            b'"status": 400, "type": "invalid-request"}}',
+            98,
+        ),
+        ("repro.tracking.service.TrackingService", "runs", "/v1/runs"),
+        _INTERNAL_ERROR,
+    ),
+    "coordinator": (
+        ("GET", "/v1/lease"),
+        _reply(
+            400, "Bad Request",
+            b'{"error": {"message": "/v1/lease expects POST, got GET", '
+            b'"status": 400, "type": "invalid-request"}}',
+            99,
+        ),
+        (
+            "repro.experiments.sweep.distributed.coordinator.DistributedBackend",
+            "_status_document",
+            "/v1/status",
+        ),
+        _reply(
+            500, "Internal Server Error",
+            b'{"error": {"message": "unexpected RuntimeError", "status": 500, '
+            b'"type": "internal-error"}}',
+            90,
+        ),
+    ),
+}
+
+#: The framing errors, sent asking for keep-alive: the server must hang up
+#: after the envelope, or the exchange times out.
+FRAMING_CASES = {
+    "malformed-request-line": b"GARBAGE\r\n\r\n",
+    "oversized-head": OVERSIZED_HEAD,
+    "head-one-byte-over": HEAD_ONE_BYTE_OVER,
+}
+
+
+def _boundary_requests(kind):
+    """``(case, raw request, golden reply)`` for one server, in send order."""
+    (method, path), wrong_method, (_, _, failing_route), internal = SERVER_CASES[kind]
+    return [
+        ("unknown-route", _head("GET", "/nope"), COMMON_REPLIES["unknown-route"]),
+        (
+            "healthz-wrong-method",
+            _head("POST", "/healthz"),
+            COMMON_REPLIES["healthz-wrong-method"],
+        ),
+        ("wrong-method", _head(method, path), wrong_method),
+        *(
+            (case, request, COMMON_REPLIES[case])
+            for case, request in FRAMING_CASES.items()
+        ),
+        ("internal-error", _head("GET", failing_route), internal),
+    ]
+
+
+def _boundary_replies(kind, tmp_path, monkeypatch, requests):
+    """Send each request on its own connection; return the replies.
+
+    For the policy server the :class:`PolicyService` is returned too, so
+    the caller can read its stats.
+    """
+    owner, attribute, _ = SERVER_CASES[kind][2]
+    monkeypatch.setattr(f"{owner}.{attribute}", _raise_runtime_error)
+
+    async def exchange_all(port):
+        return [await raw_exchange(port, request, timeout=5.0) for request in requests]
+
+    async def through(server):
+        async with server:
+            return await exchange_all(server.port)
+
+    if kind == "serving":
+        service = make_service(make_registry(tmp_path / "models"))
+        return asyncio.run(through(make_server(service))), service
+    if kind == "tracking":
+        from repro.tracking import TrackingServer, TrackingService
+
+        return asyncio.run(through(TrackingServer(TrackingService()))), None
+    from repro.experiments.sweep.distributed import DistributedBackend
+
+    with DistributedBackend() as backend:
+        return asyncio.run(exchange_all(backend.port)), None
+
+
+class TestBoundaryReplies:
+    """Every server answers a failed request with the same bytes as before.
+
+    Each request travels on its own connection.  The framing errors ask
+    for keep-alive, so a server that kept the connection open after one
+    would time the exchange out.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(SERVER_CASES))
+    def test_error_replies_are_byte_identical(self, kind, tmp_path, monkeypatch):
+        cases = _boundary_requests(kind)
+        replies, _ = _boundary_replies(
+            kind, tmp_path, monkeypatch, [request for _, request, _ in cases]
+        )
+        for (case, _, golden), reply in zip(cases, replies):
+            assert reply == golden, case
+
+    def test_serving_stats_count_the_failed_requests(self, tmp_path, monkeypatch):
+        cases = _boundary_requests("serving")
+        _, service = _boundary_replies(
+            "serving", tmp_path, monkeypatch, [request for _, request, _ in cases]
+        )
+        # Framing errors count as errors but never reach a route.
+        assert service.stats.requests == {
+            "GET /nope": 1,
+            "POST /healthz": 1,
+            "GET /v1/decide": 1,
+            "GET /stats": 1,
+        }
+        assert service.stats.errors == {
+            "not-found": 1,
+            "invalid-request": 3,
+            "payload-too-large": 2,
+            "internal-error": 1,
+        }

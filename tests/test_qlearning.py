@@ -23,13 +23,11 @@ from repro.core.policies import (
     FixedPolicy,
     ManualPolicy,
     RandomPolicy,
-    make_policy,
 )
 from repro.core.profiling import (
     ProfileEntry,
     choose_fixed_heterogeneous,
     choose_mode_for_accelerator,
-    profile_summary,
 )
 from repro.core.qtable import QTable
 from repro.core.state import NUM_STATES, CoherenceState
@@ -537,26 +535,6 @@ class TestCohmeleonPolicy:
         assert CohmeleonPolicy.overhead_cycles > FixedPolicy.overhead_cycles
 
 
-class TestPolicyFactory:
-    def test_make_all_standard_kinds(self):
-        for kind in (
-            "fixed-non-coh-dma",
-            "fixed-llc-coh-dma",
-            "fixed-coh-dma",
-            "fixed-full-coh",
-            "fixed-hetero",
-            "rand",
-            "manual",
-            "cohmeleon",
-        ):
-            policy = make_policy(kind, rng=SeededRNG(0))
-            assert policy.name in (kind, f"{kind}")
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(PolicyError):
-            make_policy("oracle")
-
-
 class TestProfiling:
     def entries(self):
         return [
@@ -582,7 +560,3 @@ class TestProfiling:
     def test_empty_profile_raises(self):
         with pytest.raises(PolicyError):
             choose_mode_for_accelerator([])
-
-    def test_profile_summary_contains_all_modes_seen(self):
-        summary = profile_summary(self.entries())
-        assert set(summary["FFT"]) == {"non-coh-dma", "coh-dma"}

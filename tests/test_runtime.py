@@ -33,10 +33,9 @@ class TestSystemStatus:
     def test_register_and_unregister(self):
         status = self.make_status()
         status.register(self.make_invocation())
-        assert status.is_tile_busy("acc0")
         assert status.active_count() == 1
         status.unregister("acc0")
-        assert not status.is_tile_busy("acc0")
+        assert status.active_count() == 0
 
     def test_unregister_unknown_returns_none(self):
         assert self.make_status().unregister("ghost") is None

@@ -173,10 +173,8 @@ class TestLifecycle:
 
     def test_serve_forever_reuses_an_already_started_server(self, tmp_path):
         # The CLI starts the server eagerly (to print the resolved port in
-        # its banner) and then hands it to serve_forever; that hand-off
-        # must not attempt a second start.
-        from repro.serving import serve_forever
-
+        # its banner) and then calls serve_forever; that hand-off must not
+        # attempt a second start.
         registry = make_registry(tmp_path / "models")
         service = make_service(registry)
 
@@ -184,7 +182,7 @@ class TestLifecycle:
             server = make_server(service)
             await server.start()
             assert server.started
-            forever = asyncio.ensure_future(serve_forever(server))
+            forever = asyncio.ensure_future(server.serve_forever())
             try:
                 async with ServingClient(server.host, server.port) as client:
                     status, document = await client.get("/healthz")

@@ -33,7 +33,6 @@ class TestConstruction:
 
     def test_tile_listings(self, tiny_soc, tiny_config):
         assert len(tiny_soc.accelerator_tiles()) == tiny_config.num_accelerator_tiles
-        assert len(tiny_soc.cpu_tiles()) == tiny_config.num_cpus
 
     def test_private_caches_excluding(self, tiny_soc, tiny_config):
         others = list(tiny_soc.private_caches_excluding("acc0"))

@@ -8,6 +8,7 @@ import pytest
 
 from repro.utils.stats import (
     RunningStats,
+    geomean_ratio,
     geometric_mean,
     mean,
     normalize,
@@ -38,6 +39,18 @@ class TestGeometricMean:
 
     def test_single_value(self):
         assert geometric_mean([3.5]) == pytest.approx(3.5)
+
+
+class TestGeomeanRatio:
+    def test_per_key_ratios_against_the_reference(self):
+        reference = {"a": 2.0, "b": 8.0, "idle": 0.0, "new": 0.0}
+        values = {"a": 4.0, "b": 2.0, "idle": 0.0, "new": 5.0}
+        # Ratios 2.0 and 0.25, plus 1.0 for the key idle on both sides;
+        # a key with work only in ``values`` has no ratio.
+        assert geomean_ratio(values, reference) == pytest.approx(0.5 ** (1 / 3))
+
+    def test_no_ratio_is_zero(self):
+        assert geomean_ratio({"new": 5.0}, {"new": 0.0}) == 0.0
 
 
 class TestNormalize:

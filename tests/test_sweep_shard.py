@@ -335,6 +335,35 @@ class TestMergeCli:
         assert cli_main(args, stream=stream) == 1
         assert "missing shard" in stream.getvalue()
 
+    def test_cli_merge_without_manifests_names_the_command_once(self, tmp_path):
+        stream = io.StringIO()
+        args = ["merge-shards", "--cache-dir", str(tmp_path / "cache")]
+        assert cli_main(args, stream=stream) == 1
+        assert stream.getvalue() == "merge-shards: no shard manifests found\n"
+
+    @pytest.mark.parametrize(
+        "option, target, expected",
+        [
+            ("--check", "absent.json", "does not exist"),
+            ("--check", "list.json", "must be a JSON object"),
+            ("--out", "directory", "Is a directory"),
+            ("--write-check", "directory", "Is a directory"),
+        ],
+        ids=["check-missing", "check-not-an-object", "out-directory",
+             "write-check-directory"],
+    )
+    def test_cli_merge_bad_file_is_a_one_line_error(
+        self, tmp_path, option, target, expected
+    ):
+        args = self._shard_and_merge_args(tmp_path, _grid())
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "directory").mkdir()
+        stream = io.StringIO()
+        assert cli_main(args + [option, str(tmp_path / target)], stream=stream) == 1
+        last = stream.getvalue().splitlines()[-1]
+        assert last.startswith("merge-shards: ") and expected in last
+        assert "Traceback" not in stream.getvalue()
+
     def test_cli_shard_without_cache_is_an_error(self):
         stream = io.StringIO()
         assert cli_main(["socs", "--no-cache", "--shard", "1/3"], stream=stream) == 2

@@ -21,7 +21,7 @@ from repro.workloads.sizes import (
     footprint_for_class,
     size_class_of,
 )
-from repro.workloads.spec import ApplicationSpec, PhaseSpec, ThreadSpec, make_phase
+from repro.workloads.spec import ApplicationSpec, PhaseSpec, ThreadSpec
 from repro.units import KB
 
 
@@ -86,13 +86,6 @@ class TestSpecs:
     def test_empty_application_rejected(self):
         with pytest.raises(ConfigurationError):
             ApplicationSpec("empty", ())
-
-    def test_make_phase_aligns_inputs(self):
-        phase = make_phase("p", [("FFT",), ("GEMM",)], [1024, 2048], [1, 2], num_cpus=2)
-        assert len(phase.threads) == 2
-        assert phase.threads[1].loop_count == 2
-        with pytest.raises(ConfigurationError):
-            make_phase("p", [("FFT",)], [1024, 2048], [1], num_cpus=1)
 
 
 class TestGenerator:
