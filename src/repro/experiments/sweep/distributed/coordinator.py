@@ -153,6 +153,20 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
         """Close the coordinator on context exit."""
         self.close()
 
+    # The coordinator serves on its own thread, so the server's async
+    # entry points, which await start() and close(), do not apply.
+    async def __aenter__(self) -> "DistributedBackend":
+        """Refused: use ``with DistributedBackend()``."""
+        raise _async_use_error()
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        """Refused: use ``with DistributedBackend()``."""
+        raise _async_use_error()
+
+    async def serve_forever(self) -> None:
+        """Refused: use ``with DistributedBackend()``."""
+        raise _async_use_error()
+
     def _serve_thread(self) -> None:
         """Thread target: run the asyncio server until :meth:`close`."""
         try:
@@ -334,6 +348,14 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
             "lease_known": receipt.lease_known,
             "done": self._board.done,
         }
+
+
+def _async_use_error() -> SweepError:
+    """The error of an ``async`` entry point the coordinator refuses."""
+    return SweepError(
+        "the coordinator runs on its own thread: use `with DistributedBackend()` "
+        "(or start() and close()), not `async with` or serve_forever()"
+    )
 
 
 def _worker_of(request: object) -> str:

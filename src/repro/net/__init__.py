@@ -19,11 +19,12 @@ its own copy:
   crosses the wire.
 * :mod:`repro.net.http` — :class:`~repro.net.http.JsonHttpServer`, the
   asyncio keep-alive HTTP/1.1 server: the listener lifecycle (bind,
-  ephemeral-port resolution, teardown that cancels open connections,
-  ``async with`` and ``serve_forever``), request framing with the one
-  head cap and a per-service body cap, JSON response serialisation, the
-  shared ``/healthz`` route, and the request boundary that maps any
-  exception a route raises through the service's own
+  ephemeral-port resolution, teardown that closes open connections,
+  ``async with`` and ``serve_forever``), one ``asyncio.Protocol`` per
+  connection that answers each buffered request eagerly, request framing
+  with the one head cap and a per-service body cap, JSON response
+  serialisation, the shared ``/healthz`` route, and the request boundary
+  that maps any exception a route raises through the service's own
   ``envelope_for_exception``.  A server subclass keeps only its route
   table and health document.
 

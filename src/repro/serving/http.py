@@ -13,10 +13,13 @@ Concurrency model:
 * **Decisions, health, stats, reloads** run inline on the event loop —
   decisions, health and stats are sub-millisecond lookups, and running every
   reload check on the loop serialises them against each other and against
-  decision handling without any locking.
+  decision handling without any locking.  A decision whose request has
+  arrived whole is answered inside the connection's ``data_received``,
+  with no task (see :mod:`repro.net.http`).
 * **What-if simulations** are the one genuinely slow request class; they
   are pushed to a small thread pool so a simulation never stalls the
-  decision hot path.  The handler captures the model snapshot before
+  decision hot path; requests pipelined behind one on the same connection
+  wait for it.  The handler captures the model snapshot before
   dispatch, so a hot reload mid-simulation cannot tear the response.
 * A background task polls :meth:`PolicyService.check_reload` every
   ``reload_interval`` seconds; reload failures are counted in the stats

@@ -9,7 +9,8 @@ to::
 
 Error types are a closed set (:data:`ERROR_STATUS`); handlers never leak a
 traceback over the wire — an unexpected exception becomes an opaque
-``internal-error`` envelope while the details stay in the server process.
+``internal-error`` envelope while the details go to the server's
+``repro.net`` log.
 
 A *state* in a decision request may be written three equivalent ways:
 
@@ -152,7 +153,9 @@ def parse_decide_request(
 
     A request carries either ``state`` (one state; the response echoes a
     single ``decision``) or ``states`` (a batch, up to ``max_batch``; the
-    response carries ``decisions`` in request order) — never both.
+    response carries ``decisions`` in request order) — never both.  A
+    plain in-range ``int`` is taken as it is; every other form, ``bool``
+    included, goes through :func:`parse_state`.
     """
     if not isinstance(document, dict):
         raise RequestError("invalid-request", "request body must be a JSON object")
@@ -164,14 +167,20 @@ def parse_decide_request(
             "a decision request carries exactly one of 'state' or 'states'",
         )
     if has_single:
-        return [parse_state(document["state"])], True
-    states = document["states"]
-    if not isinstance(states, Sequence) or isinstance(states, (str, bytes)):
-        raise RequestError("invalid-request", "'states' must be an array of states")
-    if len(states) > max_batch:
-        raise RequestError(
-            "invalid-request",
-            f"batch of {len(states)} states exceeds the server's limit of "
-            f"{max_batch}; split the request",
-        )
-    return [parse_state(state) for state in states], False
+        states = [document["state"]]
+    else:
+        states = document["states"]
+        if not isinstance(states, Sequence) or isinstance(states, (str, bytes)):
+            raise RequestError(
+                "invalid-request", "'states' must be an array of states"
+            )
+        if len(states) > max_batch:
+            raise RequestError(
+                "invalid-request",
+                f"batch of {len(states)} states exceeds the server's limit of "
+                f"{max_batch}; split the request",
+            )
+    return [
+        state if type(state) is int and 0 <= state < NUM_STATES else parse_state(state)
+        for state in states
+    ], has_single

@@ -67,13 +67,6 @@ def normalize(values: Mapping[str, float], reference_key: str) -> Dict[str, floa
     return {key: float(value) / reference for key, value in values.items()}
 
 
-def safe_ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
-    """Return ``numerator / denominator`` guarding against a zero denominator."""
-    if denominator == 0.0:
-        return default
-    return numerator / denominator
-
-
 @dataclass
 class RunningStats:
     """Streaming min/max/mean/count accumulator.
@@ -131,36 +124,6 @@ class RunningStats:
         merged.minimum = min(self.minimum, other.minimum)
         merged.maximum = max(self.maximum, other.maximum)
         return merged
-
-
-def normalized_series(
-    series: Mapping[str, Mapping[str, float]], reference_key: str
-) -> Dict[str, Dict[str, float]]:
-    """Normalise a two-level mapping ``{group: {key: value}}`` per group."""
-    return {
-        group: normalize(values, reference_key) for group, values in series.items()
-    }
-
-
-def summarize_speedup(
-    baseline_times: Sequence[float], subject_times: Sequence[float]
-) -> float:
-    """Return the average speedup of subject over baseline.
-
-    Speedup for one pair is ``baseline / subject``; the aggregate is the
-    geometric mean minus one, expressed as a fraction (0.38 means "38 %
-    faster"), matching how the paper reports its headline improvement.
-    """
-    if len(baseline_times) != len(subject_times):
-        raise ValueError("speedup series must have matching lengths")
-    ratios: List[float] = []
-    for base, subject in zip(baseline_times, subject_times):
-        if subject <= 0.0:
-            continue
-        ratios.append(base / subject)
-    if not ratios:
-        return 0.0
-    return geometric_mean(ratios) - 1.0
 
 
 def summarize_reduction(

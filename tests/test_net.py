@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import threading
 
 import pytest
 
@@ -34,7 +36,8 @@ from serving_harness import (
 
 from repro.errors import ReproError, ServingError, SweepError, TrackingError
 from repro.net import EnvelopeError, JsonHttpServer, make_envelope
-from repro.net.http import STATUS_REASON
+from repro.net.http import MAX_HEAD_BYTES, STATUS_REASON
+from repro.serving.service import PolicyService
 
 
 class TestMakeEnvelope:
@@ -408,3 +411,251 @@ class TestBoundaryReplies:
             "payload-too-large": 2,
             "internal-error": 1,
         }
+
+
+class TestUnexpectedErrorsAreLogged:
+    """A server bug reaches the client as an opaque envelope, and the log
+    keeps its message and traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(SERVER_CASES))
+    def test_traceback_goes_to_the_log_not_the_reply(
+        self, kind, tmp_path, monkeypatch, caplog
+    ):
+        (_, _, route), golden = SERVER_CASES[kind][2:]
+        with caplog.at_level(logging.ERROR, logger="repro.net"):
+            [reply], _ = _boundary_replies(
+                kind, tmp_path, monkeypatch, [_head("GET", route)]
+            )
+        assert reply == golden
+        assert b"secret detail" not in reply
+        [record] = [record for record in caplog.records if record.name == "repro.net"]
+        assert record.getMessage() == f"GET {route} failed"
+        assert record.exc_info[0] is RuntimeError
+        assert "Traceback" in caplog.text
+        assert "RuntimeError: secret detail" in caplog.text
+
+
+# ----------------------------------------------------------------------
+# The connection model: eager requests, waiting requests, the read bound
+# ----------------------------------------------------------------------
+#: A what-if request; the tests replace ``PolicyService.whatif``.
+WHATIF = b"POST /v1/whatif HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+
+#: The reply document of the replaced what-if.
+WHATIF_DONE = {"whatif": "done"}
+
+
+def _keep_alive(body):
+    """A keep-alive decision request carrying ``body``."""
+    return decide_request(body, b"Content-Length: %d" % len(body))
+
+
+async def _until(predicate, timeout=10.0):
+    """Poll ``predicate`` on the event loop until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def _waiting(server):
+    """Whether some connection of ``server`` has a request in flight."""
+    return any(connection.task is not None for connection in server._connections)
+
+
+def _body_length(head):
+    """The ``Content-Length`` of one reply head."""
+    return int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+
+
+def _replies(data):
+    """Split raw keep-alive bytes into whole replies."""
+    replies = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        length = _body_length(head)
+        replies.append(head + b"\r\n\r\n" + rest[:length])
+        data = rest[length:]
+    return replies
+
+
+async def _sequential(port, *requests):
+    """Each reply of ``requests`` sent one after another on one connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        replies = []
+        for request in requests:
+            writer.write(request)
+            head = await reader.readuntil(b"\r\n\r\n")
+            replies.append(head + await reader.readexactly(_body_length(head)))
+        return replies
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+class TestConnectionModel:
+    """Over raw sockets against a live policy server: requests split and
+    pipelined every way get the bytes they get one at a time, in order."""
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        return make_service(make_registry(tmp_path / "models"))
+
+    @pytest.fixture
+    def blocked_whatif(self, monkeypatch):
+        """Make every what-if wait until the returned event is set."""
+        release = threading.Event()
+
+        def whatif(service, document):
+            assert release.wait(timeout=10.0), "the test never released the what-if"
+            return dict(WHATIF_DONE)
+
+        monkeypatch.setattr(PolicyService, "whatif", whatif)
+        return release
+
+    def _serve(self, service, scenario):
+        async def run():
+            async with make_server(service) as server:
+                return await scenario(server)
+
+        return asyncio.run(run())
+
+    def test_a_request_sent_one_byte_at_a_time(self, service):
+        request = decide_request(BODY)
+        head_end = request.index(b"\r\n\r\n") + 4
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            tasks_before_the_head = []
+            for index in range(len(request)):
+                writer.write(request[index : index + 1])
+                await writer.drain()
+                await asyncio.sleep(0.001)
+                if index + 1 < head_end:
+                    tasks_before_the_head += [
+                        connection.task for connection in server._connections
+                    ]
+            reply = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            return reply, tasks_before_the_head, await raw_exchange(server.port, request)
+
+        trickled, tasks_before_the_head, whole = self._serve(service, scenario)
+        assert trickled == whole
+        assert _split(whole)[0] == 200
+        # A slow client holds a buffer, not a task, until its head is in.
+        assert tasks_before_the_head and set(tasks_before_the_head) == {None}
+
+    def test_two_requests_in_one_send_are_answered_in_order(self, service):
+        first = _keep_alive(BODY)
+        second = decide_request(b'{"states": [1, 2, 3]}')
+
+        async def scenario(server):
+            pipelined = await raw_exchange(server.port, first + second)
+            return pipelined, await _sequential(server.port, first, second)
+
+        pipelined, one_at_a_time = self._serve(service, scenario)
+        assert _replies(pipelined) == one_at_a_time
+        assert [_split(reply)[2]["count"] for reply in one_at_a_time] == [1, 3]
+
+    def test_a_decision_behind_a_whatif_waits_for_it(self, service, blocked_whatif):
+        decide = decide_request(BODY)
+
+        async def scenario(server):
+            [expected] = await _sequential(server.port, decide)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(WHATIF + decide)
+            await _until(lambda: _waiting(server))
+            # The decision waits behind the what-if: nothing comes back yet.
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(reader.read(1), 0.2)
+            blocked_whatif.set()
+            replies = _replies(await asyncio.wait_for(reader.read(), 10.0))
+            writer.close()
+            await writer.wait_closed()
+            return expected, replies
+
+        expected, (whatif, decision) = self._serve(service, scenario)
+        assert _split(whatif)[:3:2] == (200, WHATIF_DONE)
+        assert decision == expected
+
+    def test_a_client_gone_mid_body_leaves_nothing_behind(self, service, caplog):
+        request = decide_request(BODY)
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(request[:-5])
+            await _until(lambda: _waiting(server))
+            writer.close()
+            await writer.wait_closed()
+            await _until(lambda: not server._connections)
+            return asyncio.all_tasks() - {asyncio.current_task()}
+
+        with caplog.at_level(logging.DEBUG):
+            left_running = self._serve(service, scenario)
+        assert left_running == set()
+        assert [record for record in caplog.records if record.exc_info] == []
+        assert service.stats.requests == {}
+
+    def test_close_cancels_a_waiting_whatif(self, service, blocked_whatif):
+        async def scenario():
+            server = make_server(service)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(WHATIF)
+            await _until(lambda: _waiting(server))
+            # close() cancels the request at once, then blocks the loop
+            # until the executor thread ends, so release it from a thread.
+            release = threading.Timer(0.2, blocked_whatif.set)
+            release.start()
+            await server.close()
+            release.join(timeout=10.0)
+            left = (
+                asyncio.all_tasks() - {asyncio.current_task()},
+                set(server._connections),
+                server.started,
+            )
+            reply = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            return left, reply
+
+        (tasks, connections, started), reply = asyncio.run(scenario())
+        assert tasks == set() and connections == set() and not started
+        assert reply == b""
+
+    def test_a_flood_behind_a_whatif_pauses_reading(self, service, blocked_whatif):
+        count = 6000
+        decide = _keep_alive(BODY)
+        last = decide_request(BODY)
+
+        async def scenario(server):
+            expected = await _sequential(server.port, decide, last)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+
+            async def send():
+                writer.write(WHATIF + decide * count + last)
+                await writer.drain()
+
+            sender = asyncio.ensure_future(send())
+            await _until(lambda: _waiting(server))
+            [connection] = [c for c in server._connections if c.task is not None]
+            await _until(lambda: not connection.transport.is_reading())
+            buffered = len(connection._buffer)
+            blocked_whatif.set()
+            data = await asyncio.wait_for(reader.read(), 30.0)
+            await sender
+            writer.close()
+            await writer.wait_closed()
+            return expected, buffered, _replies(data)
+
+        (decided, closing), buffered, replies = self._serve(service, scenario)
+        # Paused past 2 x MAX_HEAD_BYTES, at most one read (256 KiB) later,
+        # well short of the whole flood.
+        bound = 2 * MAX_HEAD_BYTES + 256 * 1024
+        assert 2 * MAX_HEAD_BYTES < buffered <= bound < len(decide) * count
+        assert len(replies) == count + 2
+        assert _split(replies[0])[:3:2] == (200, WHATIF_DONE)
+        assert replies[1:-1] == [decided] * count
+        assert replies[-1] == closing

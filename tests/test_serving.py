@@ -100,6 +100,12 @@ class TestProtocol:
         with pytest.raises(RequestError) as excinfo:
             parse_state(bad)
         assert excinfo.value.error_type == "invalid-request"
+        # A decision request takes plain ints directly; every bad value,
+        # alone or in a batch, still fails with parse_state's message.
+        for document in ({"state": bad}, {"states": [0, bad]}):
+            with pytest.raises(RequestError) as request_info:
+                parse_decide_request(document, max_batch=10)
+            assert str(request_info.value) == str(excinfo.value)
 
     def test_decide_request_needs_exactly_one_of_state_and_states(self):
         with pytest.raises(RequestError):

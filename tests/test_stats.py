@@ -12,10 +12,7 @@ from repro.utils.stats import (
     geometric_mean,
     mean,
     normalize,
-    normalized_series,
-    safe_ratio,
     summarize_reduction,
-    summarize_speedup,
 )
 
 
@@ -66,20 +63,6 @@ class TestNormalize:
         values = {"a": 0.0, "b": 3.0}
         assert normalize(values, "a") == values
 
-    def test_normalized_series(self):
-        series = {"g1": {"a": 2.0, "b": 1.0}, "g2": {"a": 10.0, "b": 5.0}}
-        result = normalized_series(series, "a")
-        assert result["g1"]["b"] == pytest.approx(0.5)
-        assert result["g2"]["b"] == pytest.approx(0.5)
-
-
-class TestSafeRatio:
-    def test_normal_division(self):
-        assert safe_ratio(6.0, 3.0) == 2.0
-
-    def test_zero_denominator_returns_default(self):
-        assert safe_ratio(6.0, 0.0, default=-1.0) == -1.0
-
 
 class TestRunningStats:
     def test_tracks_extrema_and_mean(self):
@@ -115,13 +98,6 @@ class TestRunningStats:
 
 
 class TestSummaries:
-    def test_speedup_of_two_x(self):
-        assert summarize_speedup([10.0, 10.0], [5.0, 5.0]) == pytest.approx(1.0)
-
-    def test_speedup_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            summarize_speedup([1.0], [1.0, 2.0])
-
     def test_reduction_of_half(self):
         assert summarize_reduction([10.0, 10.0], [5.0, 5.0]) == pytest.approx(0.5)
 

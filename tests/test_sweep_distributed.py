@@ -17,6 +17,7 @@ Covers the four pieces PR 9 added, bottom-up:
 from __future__ import annotations
 
 import argparse
+import asyncio
 import importlib
 import json
 import os
@@ -531,6 +532,33 @@ class TestDistributedIntegration:
         rerun = SweepRunner(config=RunConfig(workers=1, cache=cache)).run(spec)
         assert rerun.cache_hits == 4
         assert dict(rerun.payloads) == dict(result.payloads)
+
+    def test_async_entry_points_are_refused_before_anything_starts(self):
+        # The coordinator serves on its own thread; `async with` used to
+        # start that thread and then fail with a TypeError.
+        def coordinator_threads():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "repro-coordinator" and thread.is_alive()
+            }
+
+        before = coordinator_threads()
+        backend = DistributedBackend()
+
+        async def enter():
+            async with backend:
+                pass
+
+        for attempt in (
+            enter,
+            backend.serve_forever,
+            lambda: backend.__aexit__(None, None, None),
+        ):
+            with pytest.raises(SweepError, match="use `with DistributedBackend"):
+                asyncio.run(attempt())
+        assert not backend.started
+        assert coordinator_threads() == before
 
     def test_constructor_validation(self):
         with pytest.raises(SweepError, match="jobs_per_lease"):
