@@ -1,8 +1,8 @@
 """Setuptools entry point.
 
-The pyproject.toml carries all metadata; this file exists so that
-``pip install -e .`` works in offline environments whose setuptools/pip
-combination cannot build PEP 517 editable wheels.
+It declares no metadata and no packages: the library is not installed but
+run from the checkout with ``PYTHONPATH=src``, and it needs only the
+Python 3.9+ standard library (see README.md).
 """
 
 from setuptools import setup

@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -48,8 +49,9 @@ def canonicalize(value: object) -> object:
     Handles the types that appear in experiment parameters: primitives,
     enums, sequences, mappings, dataclasses (recursed field by field, so
     their reprs never leak memory addresses), :class:`SeededRNG` (identified
-    by its seed), numpy arrays, callables (by dotted path), and plain
-    objects (by class name plus canonicalized ``vars()``).  Anything else
+    by its seed), numpy arrays and scalars (once numpy is loaded), callables
+    (by dotted path), and plain objects (by class name plus canonicalized
+    ``vars()``).  Anything else
     raises :class:`SweepError` rather than silently producing an unstable
     fingerprint.
     """
@@ -87,15 +89,14 @@ def canonicalize(value: object) -> object:
         rendered = [canonicalize(item) for item in value]
         rendered.sort(key=lambda item: json.dumps(item, sort_keys=True))
         return {"__set__": rendered}
-    try:  # numpy arrays/scalars (the Q-table stores its values in one)
-        import numpy as np
-
-        if isinstance(value, np.ndarray):
+    # A numpy value can exist only once something has imported numpy, so
+    # rendering one never imports numpy itself.
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        if isinstance(value, numpy.ndarray):
             return {"__ndarray__": canonicalize(value.tolist())}
-        if isinstance(value, np.generic):
+        if isinstance(value, numpy.generic):
             return canonicalize(value.item())
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        pass
     if callable(value) and hasattr(value, "__qualname__"):
         return {"__callable__": f"{value.__module__}.{value.__qualname__}"}
     state = getattr(value, "__dict__", None)

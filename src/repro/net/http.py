@@ -272,7 +272,15 @@ class JsonHttpServer:
             raise self.wire_error(
                 "invalid-request", f"invalid Content-Length {length_text!r}"
             )
-        length = int(length_text)
+        digits = length_text.lstrip("0") or "0"
+        if len(digits) > len(str(self.max_body_bytes)):
+            # Over the limit whatever it says, and possibly too long for
+            # int() (Python caps integer strings at 4,300 digits).
+            raise self.wire_error(
+                "payload-too-large",
+                f"request body exceeds the server limit of {self.max_body_bytes}",
+            )
+        length = int(digits)
         if length > self.max_body_bytes:
             raise self.wire_error(
                 "payload-too-large",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -195,7 +196,7 @@ def _bench_qlearning_step(quick: bool) -> Tuple[int, str]:
         agent.update(state, mode, reward=rng.uniform(-1.0, 1.0))
     checksum = _digest(
         {
-            "qsum": round(float(agent.qtable.values.sum()), 9),
+            "qsum": round(math.fsum(v for row in agent.qtable.values for v in row), 9),
             "coverage": round(agent.qtable.coverage(), 9),
             "decisions": agent.decisions,
         }

@@ -87,7 +87,12 @@ class ServingServer(JsonHttpServer):
             self._reload_task = asyncio.ensure_future(self._reload_loop())
 
     async def close(self) -> None:
-        """Stop accepting, cancel the reload loop, drain the executor."""
+        """Stop accepting, cancel the reload loop, drain the executor.
+
+        A what-if still simulating holds its executor thread until it
+        ends; the wait for it runs off the event loop, so the loop's other
+        timers and connections go on meanwhile.
+        """
         if self._reload_task is not None:
             self._reload_task.cancel()
             try:
@@ -96,9 +101,9 @@ class ServingServer(JsonHttpServer):
                 pass
             self._reload_task = None
         await super().close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            await asyncio.get_running_loop().run_in_executor(None, executor.shutdown)
 
     async def _reload_loop(self) -> None:
         """Poll for registry changes; failures keep the old model serving."""

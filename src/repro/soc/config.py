@@ -185,10 +185,6 @@ class SoCConfig:
         """Whether the accelerator tile at ``accelerator_index`` has a cache."""
         return accelerator_index not in self.accelerators_without_cache
 
-    def with_timing(self, **overrides: float) -> "SoCConfig":
-        """Return a copy of this config with some timing parameters replaced."""
-        return replace(self, timing=replace(self.timing, **overrides))
-
     def with_line_size(self, line_bytes: int) -> "SoCConfig":
         """Return a copy with a different cache-model granularity.
 

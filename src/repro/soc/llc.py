@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.sim.resources import BandwidthResource
-from repro.soc.cache import RangeAccessResult, SetAssociativeCache
+from repro.soc.cache import SetAssociativeCache
 
 
 class LLCPartition:
@@ -42,10 +42,6 @@ class LLCPartition:
         )
 
     # ------------------------------------------------------------------
-    def lookup_range(self, start: int, nbytes: int, write: bool) -> RangeAccessResult:
-        """Access a byte range through the partition's cache array."""
-        return self.cache.access_range(start, nbytes, write=write)
-
     def serve_port(self, now: float, nbytes: float, extra_latency: float = 0.0) -> float:
         """Occupy the partition port for a transfer of ``nbytes``."""
         return self.port.serve(now, nbytes, extra_latency)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -115,8 +115,3 @@ class SeededRNG:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeededRNG(seed={self.seed})"
-
-
-def optional_rng(rng: Optional[SeededRNG], default_seed: int = 0) -> SeededRNG:
-    """Return ``rng`` if given, otherwise a fresh stream with ``default_seed``."""
-    return rng if rng is not None else SeededRNG(default_seed)

@@ -64,11 +64,6 @@ class TestSoCConfig:
         assert SOC3.accelerator_has_cache(0)
         assert not SOC3.accelerator_has_cache(12)
 
-    def test_with_timing_override(self, tiny_config):
-        modified = tiny_config.with_timing(dram_latency_cycles=50.0)
-        assert modified.timing.dram_latency_cycles == 50.0
-        assert tiny_config.timing.dram_latency_cycles != 50.0
-
     def test_with_line_size(self, tiny_config):
         coarse = tiny_config.with_line_size(256)
         assert coarse.cache_line_bytes == 256

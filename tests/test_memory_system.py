@@ -68,16 +68,6 @@ class TestDramController:
 
 
 class TestLLCPartition:
-    def test_lookup_range_hits_after_warm(self, llc):
-        llc.warm(0, 4 * KB, dirty=True)
-        result = llc.lookup_range(0, 4 * KB, write=False)
-        assert result.misses == 0
-        assert result.hits == 64
-
-    def test_lookup_range_misses_cold(self, llc):
-        result = llc.lookup_range(0, 4 * KB, write=False)
-        assert result.misses == 64
-
     def test_port_serialization(self, llc):
         first = llc.serve_port(0.0, 1024)
         second = llc.serve_port(0.0, 1024)

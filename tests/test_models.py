@@ -99,7 +99,7 @@ def test_artifact_rebuilds_a_frozen_policy():
     rebuilt = artifact.build_policy()
     assert rebuilt.agent.learning_enabled is False
     assert rebuilt.agent.epsilon == 0.0 and rebuilt.agent.alpha == 0.0
-    assert (rebuilt.agent.qtable.values == policy.agent.qtable.values).all()
+    assert rebuilt.agent.qtable.values == policy.agent.qtable.values
     assert rebuilt.agent.rng.state() == policy.agent.rng.state()
     assert rebuilt.reward_tracker.weights == policy.reward_tracker.weights
 

@@ -201,6 +201,17 @@ class TestContentLengthFraming:
         assert _split(repeated)[0] == 200
         assert repeated == plain
 
+    @pytest.mark.parametrize("padding", [1, 5000], ids=["one-zero", "5000-zeros"])
+    def test_zero_padded_length_is_read_as_its_number(self, tmp_path, padding):
+        length = b"0" * padding + b"13"
+        padded, plain = _exchange(
+            tmp_path,
+            decide_request(BODY, b"Content-Length: " + length, b"Connection: close"),
+            decide_request(BODY),
+        )
+        assert _split(padded)[0] == 200
+        assert padded == plain
+
 
 # ----------------------------------------------------------------------
 # The request boundary of every server, byte for byte
@@ -413,6 +424,45 @@ class TestBoundaryReplies:
         }
 
 
+#: A ``Content-Length`` longer than Python converts to an int (4,300 digits).
+OVERLONG_LENGTH = b"9" * 5000
+
+#: Per server: its reply to a body length with more digits than its limit.
+OVERLONG_REPLIES = {
+    "serving": b'{"error": {"message": "request body exceeds the server limit of '
+    b'8388608", "status": 413, "type": "payload-too-large"}}',
+    "tracking": b'{"error": {"message": "request body exceeds the server limit of '
+    b'1048576", "status": 413, "type": "payload-too-large"}}',
+    "coordinator": b'{"error": {"message": "request body exceeds the server limit of '
+    b'67108864", "status": 413, "type": "payload-too-large"}}',
+}
+
+
+class TestOverlongContentLength:
+    """A body length of any number of digits gets a typed 413 and a hang-up."""
+
+    @pytest.mark.parametrize("kind", sorted(SERVER_CASES))
+    def test_is_payload_too_large(self, kind, tmp_path, monkeypatch, caplog):
+        _, path = SERVER_CASES[kind][0]
+        request = (
+            f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: ".encode("latin-1")
+            + OVERLONG_LENGTH
+            + b"\r\n\r\n"
+        )
+        with caplog.at_level(logging.DEBUG):
+            [reply], _ = _boundary_replies(kind, tmp_path, monkeypatch, [request])
+        document = OVERLONG_REPLIES[kind]
+        # raw_exchange returns once the server closes the connection.
+        assert reply == _reply(413, "Payload Too Large", document, len(document))
+        # Nothing on the server's log, and no error from the event loop.
+        logged = [
+            record
+            for record in caplog.records
+            if record.name == "repro.net" or record.levelno >= logging.ERROR
+        ]
+        assert logged == []
+
+
 class TestUnexpectedErrorsAreLogged:
     """A server bug reaches the client as an opaque envelope, and the log
     keeps its message and traceback."""
@@ -599,18 +649,23 @@ class TestConnectionModel:
         assert service.stats.requests == {}
 
     def test_close_cancels_a_waiting_whatif(self, service, blocked_whatif):
+        events = []
+
+        def release():
+            events.append("timer")
+            blocked_whatif.set()
+
         async def scenario():
             server = make_server(service)
             await server.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             writer.write(WHATIF)
             await _until(lambda: _waiting(server))
-            # close() cancels the request at once, then blocks the loop
-            # until the executor thread ends, so release it from a thread.
-            release = threading.Timer(0.2, blocked_whatif.set)
-            release.start()
+            # close() cancels the request at once, then waits for the
+            # executor thread off the loop, so a loop timer can release it.
+            asyncio.get_running_loop().call_later(0.2, release)
             await server.close()
-            release.join(timeout=10.0)
+            events.append("closed")
             left = (
                 asyncio.all_tasks() - {asyncio.current_task()},
                 set(server._connections),
@@ -622,6 +677,9 @@ class TestConnectionModel:
             return left, reply
 
         (tasks, connections, started), reply = asyncio.run(scenario())
+        # The timer fired while close() waited; a blocked loop would have
+        # run it only after the what-if's 10-s guard gave up.
+        assert events == ["timer", "closed"]
         assert tasks == set() and connections == set() and not started
         assert reply == b""
 

@@ -149,9 +149,9 @@ def test_qtable_values_stay_within_reward_bounds(updates):
     table = QTable()
     for state, mode, reward, alpha in updates:
         table.update(state, mode, reward, alpha)
-    values = table.values
-    assert values.min() >= 0.0
-    assert values.max() <= 1.0
+    values = [value for row in table.values for value in row]
+    assert min(values) >= 0.0
+    assert max(values) <= 1.0
 
 
 @given(st.integers(min_value=0, max_value=NUM_STATES - 1))

@@ -7,6 +7,7 @@ agent episode is pinned to a golden digest.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -62,7 +63,7 @@ class TestQTable:
         table = QTable()
         assert table.num_states == 243
         assert table.num_actions == 4
-        assert table.values.size == 972
+        assert [len(row) for row in table.values] == [4] * 243
 
     def test_update_rule(self):
         table = QTable()
@@ -163,7 +164,7 @@ class TestQTable:
         restored = QTable.from_dict(table.to_dict())
         assert restored.visited_states() == table.visited_states()
         assert restored.coverage() == table.coverage()
-        assert (restored.update_counts() == table.update_counts()).all()
+        assert restored.update_counts() == table.update_counts()
 
     def test_best_mode_exact_ties_only(self):
         """Tie detection is exact equality, independent of Q-value scale.
@@ -265,6 +266,29 @@ class TestQTable:
             table.update_batch([0, 1], modes, [1.0, 1.0], [0.5, 1.5])
         assert table.to_dict() == before
 
+    @pytest.mark.parametrize("poison", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reward_is_rejected(self, poison):
+        table = QTable()
+        table.update(STATE0, CoherenceMode.COH_DMA, 1.0, 0.5)
+        before = table.to_dict()
+        with pytest.raises(PolicyError, match="reward must be finite"):
+            table.update(STATE0, CoherenceMode.COH_DMA, poison, 0.5)
+        modes = [CoherenceMode.COH_DMA] * 2
+        with pytest.raises(PolicyError, match="reward must be finite"):
+            table.update_batch([0, 1], modes, [1.0, poison], [0.5, 0.5])
+        assert table.to_dict() == before
+
+    def test_deep_copy_shares_no_row(self):
+        table = QTable()
+        table.update(STATE0, CoherenceMode.COH_DMA, 1.0, 0.5)
+        before = table.to_dict()
+        clone = copy.deepcopy(table)
+        assert clone.to_dict() == before
+        rows = {id(row) for row in table._values + table._updates}
+        assert rows.isdisjoint(id(row) for row in clone._values + clone._updates)
+        clone.update(STATE0, CoherenceMode.COH_DMA, 0.0, 1.0)
+        assert table.to_dict() == before
+
     def test_from_dict_never_writes_into_the_payload(self):
         values = np.zeros((NUM_STATES, len(COHERENCE_MODES)))
         updates = np.zeros((NUM_STATES, len(COHERENCE_MODES)), dtype=np.int64)
@@ -347,6 +371,163 @@ class TestQTableOracle:
         assert rng.export_state() == oracle_rng.export_state()
         states = list(range(NUM_STATES))
         assert table.best_modes(states) == [table.best_mode(state) for state in states]
+
+
+def _numpy_episode(episode):
+    """Replay ``episode`` on float64/int64 matrices with the update expression
+    the table used while it stored numpy arrays."""
+    values = np.zeros((NUM_STATES, len(COHERENCE_MODES)))
+    updates = np.zeros((NUM_STATES, len(COHERENCE_MODES)), dtype=np.int64)
+    for state, a, reward, alpha in episode:
+        values[state, a] = (1.0 - alpha) * values[state, a] + alpha * float(reward)
+        updates[state, a] += 1
+    return values, updates
+
+
+def _numpy_from_dict(payload):
+    """The tables the numpy-backed ``from_dict`` built, or ``None`` where it
+    rejected the payload (its validation, step for step; an int too large
+    for a float escaped it as a bare ``OverflowError``)."""
+    try:
+        num_states = int(payload["num_states"])
+        values = np.array(payload["values"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    shape = (num_states, len(COHERENCE_MODES))
+    if num_states <= 0 or values.shape != shape or not np.isfinite(values).all():
+        return None
+    try:
+        updates_raw = np.asarray(payload["updates"])
+    except (TypeError, ValueError):
+        return None
+    if updates_raw.shape != shape or not np.issubdtype(updates_raw.dtype, np.number):
+        return None
+    as_float = np.asarray(updates_raw, dtype=float)
+    if not np.isfinite(as_float).all():
+        return None
+    with np.errstate(invalid="ignore"):  # a count past int64 wraps on the cast
+        updates = np.array(updates_raw, dtype=np.int64)
+    if (as_float != updates).any() or (updates < 0).any():
+        return None
+    return values.tolist(), updates.tolist()
+
+
+#: Exactly representable rewards and rates, so episodes hit exact ties.
+tie_update_strategy = st.tuples(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=len(COHERENCE_MODES) - 1),
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+    st.sampled_from([0.5, 1.0]),
+)
+
+
+def _payload(values=None, updates=None, num_states=NUM_STATES):
+    """A serialised untrained table with some entries, or whole matrices, replaced."""
+    payload = QTable(int(num_states)).to_dict()
+    payload["num_states"] = num_states
+    for key, override in (("values", values), ("updates", updates)):
+        if isinstance(override, dict):
+            for (row, column), item in override.items():
+                payload[key][row][column] = item
+        elif override is not None:
+            payload[key] = override
+    return payload
+
+
+def _rows(count, row):
+    return [list(row) for _ in range(count)]
+
+
+#: Serialised tables the numpy validation accepted or rejected, by id.
+FROM_DICT_PAYLOADS = {
+    "valid": _payload(),
+    "trained": _trained(
+        [(3, 1, 0.7, 0.25), (3, 1, -0.2, 0.5), (9, 0, 1.0, 1.0)]
+    )[0].to_dict(),
+    "numeric-strings": _payload(
+        values={(0, 0): "1.5", (0, 1): " 7 ", (1, 2): "1e3", (2, 3): "-2"}
+    ),
+    "non-numeric-string": _payload(values={(0, 0): "abc"}),
+    "empty-string": _payload(values={(3, 1): ""}),
+    "two-dots": _payload(values={(0, 0): "1.5.2"}),
+    "bool-values": _payload(values={(0, 0): True, (0, 1): False}),
+    "all-bool-values": _payload(values=_rows(NUM_STATES, [True, False, True, False])),
+    "none-value": _payload(values={(0, 0): None}),
+    "nan-value": _payload(values={(0, 0): float("nan")}),
+    "inf-value": _payload(values={(5, 2): float("inf")}),
+    "minus-inf-value": _payload(values={(5, 2): float("-inf")}),
+    "nan-string": _payload(values={(0, 0): "nan"}),
+    "huge-int-value": _payload(values={(0, 0): 10**400}),
+    "dict-value": _payload(values={(0, 0): {}}),
+    "bool-count": _payload(updates={(0, 0): True}),
+    "all-bool-counts": _payload(updates=_rows(NUM_STATES, [True, False, False, True])),
+    "integral-float-count": _payload(updates={(0, 0): 2.0}),
+    "fractional-count": _payload(updates={(0, 1): 0.5}),
+    "nan-count": _payload(updates={(0, 1): float("nan")}),
+    "inf-count": _payload(updates={(0, 1): float("inf")}),
+    "negative-count": _payload(updates={(0, 1): -2}),
+    "negative-float-count": _payload(updates={(0, 1): -1.0}),
+    "numeric-string-count": _payload(updates={(0, 1): "3"}),
+    "string-count": _payload(updates={(0, 1): "three"}),
+    "none-count": _payload(updates={(0, 1): None}),
+    "int64-overflow-count": _payload(updates={(0, 1): 2**63}),
+    "largest-int64-count": _payload(updates={(0, 1): 2**63 - 1}),
+    "too-few-rows": _payload(values=_rows(7, [0.0] * 4)),
+    "too-few-count-rows": _payload(updates=_rows(7, [0] * 4)),
+    "too-many-columns": _payload(values=_rows(NUM_STATES, [0.0] * 5)),
+    "three-dimensional": _payload(values=_rows(NUM_STATES, [[0.0]] * 4)),
+    "flat-values": _payload(values=[0.0] * (NUM_STATES * 4)),
+    "scalar-values": _payload(values=0.0),
+    "string-values": _payload(values="0" * (NUM_STATES * 4)),
+    "string-rows": _payload(values=["1234"] * NUM_STATES),
+    "ragged-values": _payload(values=_rows(NUM_STATES - 1, [0.0] * 4) + [[0.0] * 3]),
+    "ragged-counts": _payload(updates=_rows(NUM_STATES - 1, [0] * 4) + [[0] * 5]),
+    "tuples": _payload(values=tuple((1.0, 2.0, 3.0, 4.0) for _ in range(NUM_STATES))),
+    "arrays": _payload(
+        values=np.arange(NUM_STATES * 4, dtype=float).reshape(NUM_STATES, 4),
+        updates=np.ones((NUM_STATES, 4), dtype=np.int64),
+    ),
+    "bool-array-counts": _payload(updates=np.ones((NUM_STATES, 4), dtype=bool)),
+    "zero-dim-array": _payload(values=np.array(1.0)),
+    "num-states-string": _payload(num_states="243"),
+    "fewer-states": _payload(num_states=2),
+    "num-states-mismatch": dict(_payload(), num_states=NUM_STATES + 1),
+}
+
+
+class TestQTableAgainstNumpy:
+    """The list-backed table reproduces the float64 matrices it replaced,
+    bit for bit: values, counts, greedy choices and the persisted form."""
+
+    @given(episode=st.lists(st.one_of(update_strategy, tie_update_strategy), max_size=120))
+    @settings(max_examples=80, deadline=None)
+    def test_episodes_match_the_float64_matrices(self, episode):
+        values, updates = _numpy_episode(episode)
+        table, _ = _trained(episode)
+        assert table.values == values.tolist()
+        assert table.update_counts() == updates.tolist()
+        greedy = [COHERENCE_MODES[int(i)] for i in np.argmax(values, axis=1)]
+        assert table.best_modes(range(NUM_STATES)) == greedy
+        reference = {
+            "num_states": NUM_STATES,
+            "values": values.tolist(),
+            "updates": updates.tolist(),
+        }
+        assert json.dumps(table.to_dict(), sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("name", sorted(FROM_DICT_PAYLOADS))
+    def test_from_dict_accepts_what_numpy_accepted(self, name):
+        payload = FROM_DICT_PAYLOADS[name]
+        expected = _numpy_from_dict(payload)
+        try:
+            table = QTable.from_dict(payload)
+        except PolicyError:
+            assert expected is None, f"{name} was accepted before"
+        else:
+            assert expected is not None, f"{name} was rejected before"
+            assert (table.values, table.update_counts()) == expected
 
 
 class TestAgent:

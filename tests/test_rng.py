@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.rng import SeededRNG, derive_seed, optional_rng
+from repro.utils.rng import SeededRNG, derive_seed
 
 
 class TestDeriveSeed:
@@ -82,12 +82,3 @@ class TestSeededRNG:
         items = list(range(10))
         rng.shuffle(items)
         assert sorted(items) == list(range(10))
-
-
-class TestOptionalRng:
-    def test_passthrough(self):
-        rng = SeededRNG(5)
-        assert optional_rng(rng) is rng
-
-    def test_default(self):
-        assert optional_rng(None, default_seed=9).seed == 9

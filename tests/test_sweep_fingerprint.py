@@ -329,11 +329,14 @@ def _classes_with_deepcopy():
 
 class TestSharedImmutableConfigs:
     def test_every_deepcopy_override_has_only_immutable_fields(self):
+        from repro.core.qtable import QTable
         from repro.soc.config import SoCConfig, TimingConfig
 
         classes = _classes_with_deepcopy()
         assert {SoCConfig, TimingConfig, AcceleratorDescriptor} <= classes
-        for cls in classes:
+        # QTable's override copies its rows instead of sharing the table;
+        # tests/test_qlearning.py checks that the copy shares no row.
+        for cls in classes - {QTable}:
             assert _frozen_with_immutable_fields(cls), cls.__qualname__
 
     def test_shipped_instances_are_shared_and_hashable(self):
