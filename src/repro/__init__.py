@@ -53,15 +53,25 @@ Quickstart
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import importlib
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from repro.accelerators.descriptor import AcceleratorDescriptor
-from repro.accelerators.library import ACCELERATOR_LIBRARY, accelerator_by_name
-from repro.core.policies import CoherencePolicy, CohmeleonPolicy, FixedPolicy
-from repro.runtime.api import EspRuntime
-from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
-from repro.soc.config import SoCConfig, soc_preset
-from repro.soc.soc import Soc
+if TYPE_CHECKING:
+    from repro.accelerators.descriptor import AcceleratorDescriptor
+    from repro.core.policies import CoherencePolicy
+    from repro.runtime.api import EspRuntime
+    from repro.soc.config import SoCConfig
+    from repro.soc.soc import Soc
 
 __version__ = "1.0.0"
 
@@ -83,6 +93,50 @@ __all__ = [
 ]
 
 
+def lazy_exports(
+    namespace: Dict[str, Any], exports: Mapping[str, str]
+) -> Callable[[str], Any]:
+    """Build a package's module ``__getattr__`` that imports re-exports on first use.
+
+    ``exports`` maps each re-exported name to the module that defines it.  A
+    package binds the result to ``__getattr__`` (PEP 562), so importing the
+    package imports none of those modules: reading a name imports its module
+    and binds the name in ``namespace``, the package's ``globals()``.  Any
+    other name raises :class:`AttributeError`, so ``hasattr`` and
+    ``from package import *`` behave as with eager imports.
+    """
+
+    def __getattr__(name: str) -> Any:
+        if name not in exports:
+            package = namespace["__name__"]
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(exports[name]), name)
+        return value
+
+    return __getattr__
+
+
+# Every process imports this package first, and most (the servers, the CLIs'
+# document readers) never build a SoC: the simulator loads on first use.
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "CoherenceMode": "repro.soc.coherence",
+        "COHERENCE_MODES": "repro.soc.coherence",
+        "SoCConfig": "repro.soc.config",
+        "soc_preset": "repro.soc.config",
+        "Soc": "repro.soc.soc",
+        "EspRuntime": "repro.runtime.api",
+        "AcceleratorDescriptor": "repro.accelerators.descriptor",
+        "ACCELERATOR_LIBRARY": "repro.accelerators.library",
+        "accelerator_by_name": "repro.accelerators.library",
+        "CoherencePolicy": "repro.core.policies",
+        "CohmeleonPolicy": "repro.core.policies",
+        "FixedPolicy": "repro.core.policies",
+    },
+)
+
+
 def build_system(
     config: "SoCConfig | str",
     policy: Optional[CoherencePolicy] = None,
@@ -101,6 +155,12 @@ def build_system(
         the ESP accelerator library, truncated or cycled to fill the SoC's
         accelerator tiles.
     """
+    from repro.accelerators.library import ACCELERATOR_LIBRARY
+    from repro.core.policies import CohmeleonPolicy
+    from repro.runtime.api import EspRuntime
+    from repro.soc.config import soc_preset
+    from repro.soc.soc import Soc
+
     if isinstance(config, str):
         config = soc_preset(config)
     soc = Soc(config)

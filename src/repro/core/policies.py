@@ -19,18 +19,20 @@ interchangeably: ``select_mode`` (the *decide* step) and ``observe_result``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from repro.accelerators.invocation import InvocationRequest, InvocationResult
 from repro.core.agent import AgentConfig, QLearningAgent
 from repro.core.qtable import QTable
 from repro.core.reward import DEFAULT_REWARD_WEIGHTS, RewardTracker, RewardWeights
 from repro.core.state import CoherenceState, discretize_snapshot
 from repro.errors import PolicyError
-from repro.runtime.status import SystemSnapshot
 from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
 from repro.units import KB
 from repro.utils.rng import SeededRNG
+
+if TYPE_CHECKING:
+    from repro.accelerators.invocation import InvocationRequest, InvocationResult
+    from repro.runtime.status import SystemSnapshot
 
 
 class CoherencePolicy:

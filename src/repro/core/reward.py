@@ -18,10 +18,12 @@ evaluation are (67.5 %, 7.5 %, 25 %).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.accelerators.invocation import InvocationResult
 from repro.errors import PolicyError
+
+if TYPE_CHECKING:
+    from repro.accelerators.invocation import InvocationResult
 
 _EPSILON = 1e-12
 

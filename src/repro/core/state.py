@@ -21,11 +21,13 @@ Q-table has 243 x 4 = 972 entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.errors import PolicyError
-from repro.runtime.status import SystemSnapshot
 from repro.soc.coherence import CoherenceMode
+
+if TYPE_CHECKING:
+    from repro.runtime.status import SystemSnapshot
 
 #: Number of discrete values each attribute can take.
 LEVELS_PER_ATTRIBUTE = 3

@@ -8,7 +8,7 @@ configuration and policy).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.experiments.breakdown import BreakdownResult
 from repro.experiments.isolation import IsolationMeasurement, normalize_isolation
@@ -180,8 +180,3 @@ def report_transfer_matrix(matrix: "TransferMatrix") -> str:
             f"(normalised to {matrix.reference_policy})"
         ),
     )
-
-
-def report_mapping(title: str, mapping: Mapping[str, float]) -> str:
-    """Generic two-column report."""
-    return format_table(["key", "value"], sorted(mapping.items()), title=title)

@@ -26,6 +26,7 @@ The subsystem has five layers plus a CLI:
   ``--resume`` / ``--shard``, plus the ``merge-shards`` subcommand.
 """
 
+from repro import lazy_exports
 from repro.experiments.sweep.backends import (
     BACKEND_NAMES,
     BACKENDS,
@@ -35,7 +36,6 @@ from repro.experiments.sweep.backends import (
 )
 from repro.experiments.sweep.cache import ResultCache
 from repro.experiments.sweep.config import RunConfig, add_runner_arguments
-from repro.experiments.sweep.distributed import DistributedBackend, run_worker
 from repro.experiments.sweep.manifest import SweepManifest, grid_digest, payload_digest
 from repro.experiments.sweep.merge import MergeReport, discover_shard_manifests, merge_shards
 from repro.experiments.sweep.pool import (
@@ -78,3 +78,13 @@ __all__ = [
     "payload_digest",
     "run_spec",
 ]
+
+# The coordinator and its workers speak HTTP (asyncio, ssl, http.client,
+# repro.net); a serial or pool sweep never does, so they load on first use.
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "DistributedBackend": "repro.experiments.sweep.distributed",
+        "run_worker": "repro.experiments.sweep.distributed",
+    },
+)

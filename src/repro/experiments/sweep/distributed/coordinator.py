@@ -127,7 +127,7 @@ class DistributedBackend(ExecutionBackend, JsonHttpServer):
             error = self._startup_error
             self._thread.join()
             self._thread = None
-            raise SweepError(f"coordinator failed to start on {self.url}: {error}")
+            raise SweepError(f"coordinator failed to start: {error}") from error
 
     def close(self) -> None:
         """Stop the server thread and release the listening socket."""

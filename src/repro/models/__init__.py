@@ -34,6 +34,7 @@ Quickstart
 'cohmeleon-policy-artifact'
 """
 
+from repro import lazy_exports
 from repro.models.artifact import (
     ARTIFACT_FORMAT,
     ARTIFACT_VERSION,
@@ -51,14 +52,6 @@ from repro.models.registry import (
     default_models_dir,
     resolve_pretrained,
     validate_model_name,
-)
-from repro.models.train import TrainingRun, train_artifact
-from repro.models.transfer import (
-    MATRIX_FORMAT,
-    MATRIX_VERSION,
-    TransferCell,
-    TransferMatrix,
-    transfer_matrix,
 )
 
 __all__ = [
@@ -84,3 +77,19 @@ __all__ = [
     "transfer_matrix",
     "validate_model_name",
 ]
+
+# Training and transfer studies run sweeps: importing them here would load the
+# sweep runner, the experiment harness and the scenario registry into every
+# process that only loads an artifact (the policy server, the tracking API).
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "TrainingRun": "repro.models.train",
+        "train_artifact": "repro.models.train",
+        "MATRIX_FORMAT": "repro.models.transfer",
+        "MATRIX_VERSION": "repro.models.transfer",
+        "TransferCell": "repro.models.transfer",
+        "TransferMatrix": "repro.models.transfer",
+        "transfer_matrix": "repro.models.transfer",
+    },
+)

@@ -138,13 +138,22 @@ class JsonHttpServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listening socket and resolve an ephemeral port."""
+        """Bind the listening socket and resolve an ephemeral port.
+
+        A port in use or out of range, or a host that does not resolve,
+        raises the service's domain error and leaves the server stopped.
+        """
         if self._server is not None:
             # The service's own domain error (ServingError, TrackingError).
             raise self.wire_error.unknown_error("server is already running")
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), host=self.host, port=self.port
-        )
+        try:
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: _Connection(self), host=self.host, port=self.port
+            )
+        except (OSError, OverflowError) as exc:
+            raise self.wire_error.unknown_error(
+                f"cannot listen on {self.host}:{self.port}: {exc}"
+            ) from exc
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:

@@ -11,14 +11,36 @@ behavioural changes.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# The layers the benchmarks time are imported here, not inside each
+# benchmark, so that no timed region pays for importing them.
+from repro.core.agent import QLearningAgent
+from repro.core.policies import CohmeleonPolicy
+from repro.core.state import NUM_STATES, discretize_snapshot
 from repro.errors import ConfigurationError
+from repro.experiments.socs import run_soc_comparison
+from repro.experiments.sweep import RunConfig, SweepRunner
+from repro.models.artifact import PolicyArtifact, build_provenance
+from repro.models.registry import ModelRegistry
+from repro.runtime.status import SystemSnapshot
+from repro.serving.client import ServingClient
+from repro.serving.http import ServingServer
+from repro.serving.service import PolicyService
+from repro.sim.engine import Engine, ResumeAt
+from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
+from repro.soc.config import soc_preset
+from repro.soc.noc import MeshNoC, TileCoordinate
+from repro.soc.soc import Soc
+from repro.units import KB
+from repro.utils.rng import SeededRNG, derive_seed
 
 #: Scale knobs per benchmark: ``quick`` is sized for a CI smoke lane (a few
 #: seconds on the whole suite), ``default`` for locally meaningful numbers.
@@ -62,9 +84,6 @@ def _digest(payload: object) -> str:
 # ----------------------------------------------------------------------
 def _bench_engine_events(quick: bool) -> Tuple[int, str]:
     """Time-ordered interleaving of many generator processes."""
-    from repro.sim.engine import Engine, ResumeAt
-    from repro.utils.rng import SeededRNG
-
     processes = 300 if quick else 600
     steps = 100 if quick else 160
     engine = Engine()
@@ -91,11 +110,6 @@ def _bench_engine_events(quick: bool) -> Tuple[int, str]:
 # ----------------------------------------------------------------------
 def _bench_memory_access(quick: bool) -> Tuple[int, str]:
     """DMA transfers and flushes through every coherence mode."""
-    from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
-    from repro.soc.config import soc_preset
-    from repro.soc.soc import Soc
-    from repro.units import KB
-
     repeats = 8 if quick else 24
     soc = Soc(soc_preset("SoC1").with_line_size(256))
     buffer = soc.allocate_buffer(512 * KB, name="bench")
@@ -138,8 +152,6 @@ def _bench_memory_access(quick: bool) -> Tuple[int, str]:
 # ----------------------------------------------------------------------
 def _bench_noc_routing(quick: bool) -> Tuple[int, str]:
     """XY-routed transfers converging on shared memory-tile links."""
-    from repro.soc.noc import MeshNoC, TileCoordinate
-
     transfers = 50_000 if quick else 200_000
     noc = MeshNoC(rows=4, cols=4, hop_cycles=1.0, link_bytes_per_cycle=4.0)
     sources = []
@@ -165,13 +177,6 @@ def _bench_noc_routing(quick: bool) -> Tuple[int, str]:
 # ----------------------------------------------------------------------
 def _bench_qlearning_step(quick: bool) -> Tuple[int, str]:
     """Sense-discretise-decide-update cycle of the Cohmeleon agent."""
-    from repro.core.agent import QLearningAgent
-    from repro.core.state import discretize_snapshot
-    from repro.runtime.status import SystemSnapshot
-    from repro.soc.coherence import CoherenceMode
-    from repro.units import KB
-    from repro.utils.rng import SeededRNG
-
     steps = 30_000 if quick else 120_000
     agent = QLearningAgent(rng=SeededRNG(11))
     rng = SeededRNG(13)
@@ -209,9 +214,6 @@ def _bench_qlearning_step(quick: bool) -> Tuple[int, str]:
 # ----------------------------------------------------------------------
 def _bench_fig9_headline(quick: bool) -> Tuple[int, str]:
     """Reduced Figure 9 sweep through the real experiment entry point."""
-    from repro.experiments.socs import run_soc_comparison
-    from repro.experiments.sweep import RunConfig, SweepRunner
-
     if quick:
         labels: Sequence[str] = ("SoC1", "SoC6")
         iterations = 1
@@ -253,19 +255,6 @@ def _bench_serving(quick: bool) -> Tuple[int, str]:
     is identical across machines and core backends — exactly the
     determinism the serving contract promises.
     """
-    import asyncio
-    import tempfile
-
-    from repro.core.policies import CohmeleonPolicy
-    from repro.core.state import NUM_STATES
-    from repro.models.artifact import PolicyArtifact, build_provenance
-    from repro.models.registry import ModelRegistry
-    from repro.serving.client import ServingClient
-    from repro.serving.http import ServingServer
-    from repro.serving.service import PolicyService
-    from repro.soc.coherence import COHERENCE_MODES
-    from repro.utils.rng import SeededRNG, derive_seed
-
     clients = 4 if quick else 8
     requests = 50 if quick else 150
     batch = 64

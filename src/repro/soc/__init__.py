@@ -6,28 +6,9 @@ processors (and optionally for the accelerators), a last-level cache split
 into partitions, and one DRAM controller per memory tile.  The model is
 cycle-approximate and event-driven; its purpose is to reproduce the
 *relative* behaviour of the four accelerator coherence modes.
+
+The package re-exports nothing: import each name from its module
+(``repro.soc.soc.Soc``, ``repro.soc.config.SoCConfig``, ...), so that a
+process needing only ``repro.soc.coherence``, as the Q-table does, does not
+load the whole substrate.
 """
-
-from repro.soc.address import AddressMap, Buffer, BufferSegment
-from repro.soc.cache import CacheStats, RangeAccessResult, SetAssociativeCache
-from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
-from repro.soc.config import SoCConfig, TimingConfig, soc_preset
-from repro.soc.monitors import AcceleratorCounters, HardwareMonitors
-from repro.soc.soc import Soc
-
-__all__ = [
-    "AddressMap",
-    "Buffer",
-    "BufferSegment",
-    "CacheStats",
-    "RangeAccessResult",
-    "SetAssociativeCache",
-    "CoherenceMode",
-    "COHERENCE_MODES",
-    "SoCConfig",
-    "TimingConfig",
-    "soc_preset",
-    "HardwareMonitors",
-    "AcceleratorCounters",
-    "Soc",
-]

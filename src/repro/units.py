@@ -54,13 +54,3 @@ def align_down(value: int, alignment: int) -> int:
     if alignment <= 0:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return (value // alignment) * alignment
-
-
-def human_bytes(num_bytes: float) -> str:
-    """Format a byte count for logs and reports (e.g. ``'256.0KB'``)."""
-    value = float(num_bytes)
-    for suffix in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1024.0 or suffix == "TB":
-            return f"{value:.1f}{suffix}"
-        value /= 1024.0
-    raise AssertionError("unreachable")

@@ -22,7 +22,12 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import os
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -483,6 +488,90 @@ class TestUnexpectedErrorsAreLogged:
         assert record.exc_info[0] is RuntimeError
         assert "Traceback" in caplog.text
         assert "RuntimeError: secret detail" in caplog.text
+
+
+# ----------------------------------------------------------------------
+# Binding: a port in use or out of range, or a host that does not resolve
+# ----------------------------------------------------------------------
+def _listening_socket():
+    """A loopback socket listening on an ephemeral port (use as a context)."""
+    holder = socket.socket()
+    holder.bind(("127.0.0.1", 0))
+    holder.listen()
+    return holder
+
+
+def _server_on(kind, tmp_path, port):
+    """An unstarted server ``kind`` on ``port``, and the call that starts it."""
+    if kind == "coordinator":
+        from repro.experiments.sweep.distributed import DistributedBackend
+
+        server = DistributedBackend(port=port)
+        return server, server.start
+    if kind == "serving":
+        server = make_server(make_service(make_registry(tmp_path / "models")))
+    else:
+        from repro.tracking import TrackingServer, TrackingService
+
+        server = TrackingServer(TrackingService())
+    server.port = port
+    return server, lambda: asyncio.run(server.start())
+
+
+class TestListenFailures:
+    """A server that cannot bind raises its domain error and stays stopped."""
+
+    DOMAIN_ERRORS = {
+        "serving": ServingError,
+        "tracking": TrackingError,
+        "coordinator": SweepError,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SERVER_CASES))
+    def test_a_busy_port_is_a_domain_error(self, kind, tmp_path):
+        with _listening_socket() as holder:
+            port = holder.getsockname()[1]
+            server, start = _server_on(kind, tmp_path, port)
+            expected = f"cannot listen on 127.0.0.1:{port}: "
+            with pytest.raises(self.DOMAIN_ERRORS[kind], match=expected):
+                start()
+        assert not server.started
+        assert server._server is None
+
+    def test_a_port_out_of_range_is_a_domain_error(self, tmp_path):
+        server, start = _server_on("serving", tmp_path, 70000)
+        with pytest.raises(ServingError, match="cannot listen on 127.0.0.1:70000: "):
+            start()
+        assert not server.started
+
+    def test_an_unresolvable_host_is_a_domain_error(self, tmp_path, monkeypatch):
+        def no_such_host(*args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        # Resolution fails here, with no lookup leaving the machine.
+        monkeypatch.setattr(socket, "getaddrinfo", no_such_host)
+        server = make_server(make_service(make_registry(tmp_path / "models")))
+        server.host = "no-such-host.invalid"
+        with pytest.raises(ServingError, match="cannot listen on no-such-host"):
+            asyncio.run(server.start())
+        assert not server.started
+
+    def test_the_serving_cli_exits_2_without_a_traceback(self, tmp_path):
+        make_registry(tmp_path / "models")
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [sys.executable, "-m", "repro.serving", "serve", "served"]
+        argv += ["--models-dir", str(tmp_path / "models")]
+        with _listening_socket() as holder:
+            completed = subprocess.run(
+                argv + ["--port", str(holder.getsockname()[1])],
+                env={**os.environ, "PYTHONPATH": str(src)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr.startswith("error: cannot listen on 127.0.0.1:")
+        assert "Traceback" not in completed.stderr
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.common import PolicyEvaluation
-from repro.experiments.report import report_headline, report_mapping, report_socs
+from repro.experiments.report import report_headline, report_socs
 from repro.experiments.socs import SocComparisonPoint, SocComparisonResult
 from repro.experiments.summary import HeadlineSummary, summarize_headline
 
@@ -109,19 +109,6 @@ def test_report_headline_golden():
     )
     assert report_headline(summary) == GOLDEN_HEADLINE
 
-
-GOLDEN_MAPPING = (
-    "demo\n"
-    "key | value\n"
-    "----+------\n"
-    "a   | 1.500\n"
-    "b   | 2.000"
-)
-
-
-def test_report_mapping_golden():
-    """The generic two-column report sorts keys and formats floats."""
-    assert report_mapping("demo", {"b": 2.0, "a": 1.5}) == GOLDEN_MAPPING
 
 
 # ----------------------------------------------------------------------

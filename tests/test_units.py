@@ -12,7 +12,6 @@ from repro.units import (
     align_down,
     align_up,
     bytes_to_lines,
-    human_bytes,
 )
 
 
@@ -57,17 +56,3 @@ class TestAlignment:
             align_up(10, 0)
         with pytest.raises(ValueError):
             align_down(10, -4)
-
-
-class TestHumanBytes:
-    def test_byte_range(self):
-        assert human_bytes(512) == "512.0B"
-
-    def test_kilobyte_range(self):
-        assert human_bytes(16 * KB) == "16.0KB"
-
-    def test_megabyte_range(self):
-        assert human_bytes(4 * MB) == "4.0MB"
-
-    def test_gigabyte_range(self):
-        assert human_bytes(2 * GB) == "2.0GB"
