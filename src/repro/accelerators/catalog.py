@@ -10,7 +10,7 @@ classification the paper contributes.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.soc.coherence import CoherenceMode
 
@@ -68,25 +68,6 @@ BENCHMARK_SUITE_COVERAGE: Mapping[str, Tuple[str, ...]] = {
     "PERFECT": ("Conv-2D", "FFT", "Night-vision", "Sort"),
     "S2CBench": ("Conv-2D", "FFT", "Sort", "Viterbi"),
 }
-
-
-def modes_supported_by(system: str) -> FrozenSet[CoherenceMode]:
-    """Return the coherence modes a prior system supports (Table 1)."""
-    try:
-        return LITERATURE_COHERENCE_MODES[system]
-    except KeyError:
-        raise KeyError(
-            f"unknown system {system!r}; available: {sorted(LITERATURE_COHERENCE_MODES)}"
-        ) from None
-
-
-def suites_covering(accelerator_name: str) -> List[str]:
-    """Return the benchmark suites containing a workload like ``accelerator_name``."""
-    return sorted(
-        suite
-        for suite, accelerators in BENCHMARK_SUITE_COVERAGE.items()
-        if accelerator_name in accelerators
-    )
 
 
 def mode_support_matrix() -> Dict[str, Dict[str, bool]]:

@@ -1,7 +1,7 @@
 """Experiment harnesses that regenerate the paper's tables and figures.
 
-Each module reproduces one artefact of the evaluation (see DESIGN.md for
-the experiment index):
+Each module reproduces one artefact of the evaluation (see
+docs/experiments.md for the experiment index):
 
 * :mod:`repro.experiments.isolation` — Figure 2 (accelerators in isolation)
   and the profiling pass behind the fixed-heterogeneous baseline;
@@ -16,13 +16,14 @@ the experiment index):
 * :mod:`repro.experiments.overhead` — the Cohmeleon-overhead measurement.
 
 All harnesses are deterministic given their seed and accept scaling
-parameters so they can run at reduced cost inside the benchmark suite.
+parameters.  :mod:`repro.experiments.figures` holds each figure's quick and
+paper-scale grid in one table, which both ``python -m repro.experiments
+<figure>`` and ``pytest benchmarks`` run.
 
 Every harness accepts an optional ``runner`` (a
 :class:`repro.experiments.sweep.SweepRunner`) that fans its grid out over
-worker processes and caches job results on disk; ``python -m
-repro.experiments <figure>`` exposes the same machinery on the command
-line.
+worker processes and caches job results on disk; the command line exposes
+it as ``--workers`` and ``--cache-dir``.
 """
 
 from repro.experiments.common import (

@@ -1,9 +1,10 @@
 """Plain-text reports for every experiment.
 
-The benchmark harnesses print these reports so that ``bench_output.txt``
-contains, for every figure and table of the paper, the same rows or series
-the paper plots (normalised execution time and off-chip memory accesses per
-configuration and policy).
+``python -m repro.experiments <figure>`` prints these reports, and
+``pytest benchmarks`` writes them to ``benchmarks/results/<figure>.txt``:
+for every figure of the paper, the same rows or series the paper plots
+(normalised execution time and off-chip memory accesses per configuration
+and policy).
 """
 
 from __future__ import annotations

@@ -29,7 +29,13 @@ class ResultCache:
 
     def __init__(self, cache_dir: Union[str, Path]) -> None:
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SweepError(
+                f"cannot create the result cache directory {self.cache_dir}: "
+                f"{exc.strerror or exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     def path_for(self, fingerprint: str) -> Path:

@@ -15,10 +15,12 @@ Examples
     python -m repro.experiments.sweep worker --coordinator http://host:8733
 
 Every figure runs at a reduced ("quick") scale by default so a laptop run
-finishes in minutes; ``--full`` switches to the paper-scale grids.  Results
-are cached on disk (``--cache-dir``, default ``.sweep-cache``) keyed by job
-fingerprints, so re-running a figure re-simulates only the jobs whose
-configuration or seed changed; ``--no-cache`` disables the cache entirely.
+finishes in minutes; ``--full`` switches to the paper-scale grids.  Both
+are defined in the table of :mod:`repro.experiments.figures`, which
+``pytest benchmarks`` runs too.  Results are cached on disk
+(``--cache-dir``, default ``.sweep-cache``) keyed by job fingerprints, so
+re-running a figure re-simulates only the jobs whose configuration or seed
+changed; ``--no-cache`` disables the cache entirely.
 Cached runs also checkpoint a per-sweep manifest (under
 ``<cache-dir>/manifests`` unless ``--manifest-dir`` overrides it), which is
 what ``--resume``, ``--shard i/N``, and ``merge-shards`` build on — see
@@ -37,9 +39,9 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
-from repro.errors import DocumentError, SweepError
+from repro.errors import DocumentError, ReproError, SweepError
 from repro.experiments.sweep.cache import ResultCache
 from repro.experiments.sweep.config import RunConfig, add_runner_arguments
 from repro.experiments.sweep.merge import (
@@ -50,142 +52,6 @@ from repro.experiments.sweep.merge import (
 from repro.experiments.sweep.pool import SweepRunner
 from repro.experiments.sweep.shard import ShardIncompleteError
 from repro.store.io import read_document
-
-#: Figure name -> (description, runner function).  Each runner function
-#: takes the parsed arguments plus a SweepRunner and returns a report string.
-FigureRunner = Callable[[argparse.Namespace, SweepRunner], str]
-
-
-def _fig_isolation(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.accelerators.library import accelerator_by_name
-    from repro.experiments.common import motivation_setup
-    from repro.experiments.isolation import run_isolation_experiment
-    from repro.experiments.report import report_isolation
-    from repro.units import KB, MB
-
-    setup = motivation_setup(line_bytes=256)
-    if args.full:
-        accelerators, sizes = None, None
-    else:
-        accelerators = [accelerator_by_name(name) for name in ("FFT", "Sort", "SPMV")]
-        sizes = {"Small": 16 * KB, "Medium": 256 * KB, "Large": 2 * MB}
-    measurements = run_isolation_experiment(
-        setup, accelerators=accelerators, sizes=sizes, runner=runner
-    )
-    return report_isolation(measurements)
-
-
-def _fig_parallel(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.experiments.parallel import parallel_setup, run_parallel_experiment
-    from repro.experiments.report import report_parallel
-
-    counts = (1, 4, 8, 12) if args.full else (1, 4, 12)
-    invocations = 4 if args.full else 2
-    measurements = run_parallel_experiment(
-        parallel_setup(line_bytes=256),
-        counts=counts,
-        invocations_per_thread=invocations,
-        runner=runner,
-    )
-    return report_parallel(measurements)
-
-
-def _fig_phases(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.experiments.phases import run_phase_analysis
-    from repro.experiments.report import report_phases
-
-    result = run_phase_analysis(
-        training_iterations=10 if args.full else 3,
-        seed=args.seed if args.seed is not None else 7,
-        runner=runner,
-    )
-    return report_phases(result)
-
-
-def _fig_reward_dse(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.experiments.report import report_reward_dse
-    from repro.experiments.reward_dse import REWARD_WEIGHTINGS, run_reward_dse
-
-    weightings = REWARD_WEIGHTINGS if args.full else REWARD_WEIGHTINGS[::3]
-    result = run_reward_dse(
-        weightings=weightings,
-        training_iterations=10 if args.full else 3,
-        seed=args.seed if args.seed is not None else 13,
-        runner=runner,
-    )
-    return report_reward_dse(result)
-
-
-def _fig_breakdown(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.experiments.breakdown import run_breakdown_experiment
-    from repro.experiments.report import report_breakdown
-
-    result = run_breakdown_experiment(
-        training_iterations=10 if args.full else 3,
-        seed=args.seed if args.seed is not None else 17,
-        runner=runner,
-    )
-    return report_breakdown(result)
-
-
-def _fig_training(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.experiments.report import report_training
-    from repro.experiments.training import run_training_study
-
-    budgets = (10, 30, 50) if args.full else (5, 10)
-    result = run_training_study(
-        budgets=budgets,
-        seed=args.seed if args.seed is not None else 23,
-        runner=runner,
-    )
-    return report_training(result)
-
-
-def _fig_socs(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.experiments.report import report_headline, report_socs
-    from repro.experiments.socs import FIGURE9_SOC_LABELS, run_soc_comparison
-    from repro.experiments.summary import summarize_headline
-
-    labels = (
-        FIGURE9_SOC_LABELS
-        if args.full
-        else ("SoC0-Streaming", "SoC1", "SoC2", "SoC4", "SoC6")
-    )
-    comparison = run_soc_comparison(
-        labels=labels,
-        training_iterations=10 if args.full else 4,
-        seed=args.seed if args.seed is not None else 29,
-        runner=runner,
-    )
-    summary = summarize_headline(comparison)
-    return report_socs(comparison) + "\n\n" + report_headline(summary)
-
-
-def _fig_overhead(args: argparse.Namespace, runner: SweepRunner) -> str:
-    from repro.experiments.overhead import OVERHEAD_FOOTPRINTS, run_overhead_experiment
-    from repro.experiments.report import report_overhead
-
-    footprints = OVERHEAD_FOOTPRINTS if args.full else OVERHEAD_FOOTPRINTS[::2]
-    measurements = run_overhead_experiment(
-        footprints=footprints,
-        invocations_per_point=3 if args.full else 2,
-        seed=args.seed if args.seed is not None else 31,
-        runner=runner,
-    )
-    return report_overhead(measurements)
-
-
-FIGURES: Dict[str, FigureRunner] = {
-    "isolation": _fig_isolation,
-    "parallel": _fig_parallel,
-    "phases": _fig_phases,
-    "reward_dse": _fig_reward_dse,
-    "breakdown": _fig_breakdown,
-    "training": _fig_training,
-    "socs": _fig_socs,
-    "overhead": _fig_overhead,
-}
-
 
 class _StatsRunner(SweepRunner):
     """A SweepRunner that accumulates per-spec execution statistics."""
@@ -212,6 +78,10 @@ class _StatsRunner(SweepRunner):
 
 def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
     """The figure selection and scale flags shared by run and coordinate."""
+    # Only run and coordinate load the figure table; worker and
+    # merge-shards never name a figure.
+    from repro.experiments.figures import FIGURES
+
     parser.add_argument("figure", choices=sorted(FIGURES), help="figure to regenerate")
     parser.add_argument(
         "--seed", type=int, default=None, help="override the figure's default seed"
@@ -476,18 +346,21 @@ def main(argv: Optional[List[str]] = None, stream: Optional[TextIO] = None) -> i
 
 def _run_figure(args: argparse.Namespace, config: RunConfig, out: TextIO) -> int:
     """Run one figure harness through ``config`` and print the summary."""
+    from repro.experiments.figures import FIGURES
+
     runner = _StatsRunner(config)
 
     started = time.perf_counter()
     sharded_out = None
     try:
-        report = FIGURES[args.figure](args, runner)
-    except ShardIncompleteError as exc:
+        _, report = FIGURES[args.figure](args.full, args.seed, runner)
+    except ReproError as exc:
+        if config.shard is None or not isinstance(exc, ShardIncompleteError):
+            print(f"error: {exc}", file=out)
+            return 2
         # Expected for a sharded run: the harness stopped at the first
         # payload another shard owns.  The executed slice is checkpointed
         # in the cache and manifest; merge-shards fuses the full grid.
-        if config.shard is None:
-            raise
         report = None
         sharded_out = str(exc)
     elapsed = time.perf_counter() - started

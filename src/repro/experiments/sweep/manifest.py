@@ -219,7 +219,13 @@ class SweepManifest:
 
     def _rewrite(self) -> None:
         """Write the whole manifest (header + known completions) afresh."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SweepError(
+                f"cannot create the manifest directory {self.path.parent}: "
+                f"{exc.strerror or exc}"
+            ) from exc
         keys = self.keys_by_fingerprint
         lines = [json.dumps(self._header_document(), sort_keys=True)]
         for key, fingerprint in self.grid:

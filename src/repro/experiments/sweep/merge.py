@@ -25,8 +25,6 @@ the committed expectation.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -40,6 +38,7 @@ from repro.experiments.sweep.manifest import (
     payload_digest,
 )
 from repro.experiments.sweep.shard import ShardSpec
+from repro.store.io import canonical_digest
 
 
 @dataclass
@@ -62,10 +61,7 @@ class MergeReport:
     @property
     def checksum(self) -> str:
         """SHA-256 over the per-job digests in grid order."""
-        blob = json.dumps(
-            [[key, digest] for key, digest in self.per_job], separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_digest([[key, digest] for key, digest in self.per_job])
 
     def check_document(self) -> Dict[str, object]:
         """The JSON document the CI determinism gate commits and compares."""

@@ -11,13 +11,13 @@ Examples
     python -m repro.models export qs-demo --out artifact.json
     python -m repro.models eval qs-demo
     python -m repro.models eval soc1 --scenario soc2-mixed-traffic
-    python -m repro.models serve qs-demo --port 8123
 
 ``train`` accepts a registered scenario name or a ``.toml``/``.json``
 scenario-file path and dispatches the training run through the sweep
 runner (so a retrain with unchanged inputs is a cache hit).  ``eval``
 evaluates a frozen artifact on any scenario — by default the one it was
 trained on; pointing it elsewhere is the cross-platform transfer study.
+``python -m repro.serving serve`` serves a registered model.
 """
 
 from __future__ import annotations
@@ -138,28 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_models_dir(eval_parser)
     _add_runner_flags(eval_parser)
-
-    serve_parser = commands.add_parser(
-        "serve", help="serve a registered model over JSON/HTTP (see repro.serving)"
-    )
-    serve_parser.add_argument("name", help="registered model name to serve")
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: %(default)s)"
-    )
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="bind port (default: an ephemeral port, printed at startup)",
-    )
-    serve_parser.add_argument(
-        "--reload-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="hot-reload poll interval; 0 disables polling (default: %(default)s)",
-    )
-    _add_models_dir(serve_parser)
     return parser
 
 
@@ -325,26 +303,12 @@ def _cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.serving.cli import run_serve
-
-    return run_serve(
-        args.name,
-        models_dir=args.models_dir,
-        host=args.host,
-        port=args.port,
-        reload_interval=args.reload_interval,
-        out=out,
-    )
-
-
 _COMMANDS = {
     "train": _cmd_train,
     "list": _cmd_list,
     "describe": _cmd_describe,
     "export": _cmd_export,
     "eval": _cmd_eval,
-    "serve": _cmd_serve,
 }
 
 

@@ -84,7 +84,12 @@ class ModelRegistry:
                 f"model {artifact.name!r} already exists at {path}; "
                 "pass replace/--force to overwrite"
             )
-        return artifact.save(path)
+        try:
+            return artifact.save(path)
+        except OSError as exc:
+            raise ModelError(
+                f"cannot write model {artifact.name!r} to {path}: {exc.strerror or exc}"
+            ) from exc
 
     def load(self, name: str, expected_digest: Optional[str] = None) -> PolicyArtifact:
         """Load and digest-verify the artifact registered as ``name``."""

@@ -14,18 +14,33 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.perf.bench import BENCHMARK_NAMES, BenchmarkResult, run_benchmarks
 from repro.perf.compare import compare_reports, render_findings
-from repro.perf.profiling import SORT_KEYS, profile_benchmark
 from repro.perf.report import (
     DEFAULT_REPORT_PATH,
     load_report,
     make_report,
     write_report,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.perf.bench import BenchmarkResult
+
+# ``run`` and ``profile`` import the benchmarks (and with them the
+# simulator, the sweeps and serving) when they run; ``compare`` needs none.
+
+
+def _benchmark_name(text: str) -> str:
+    """Argparse type of a benchmark name: an unknown name is a usage error."""
+    from repro.perf.bench import BENCHMARK_NAMES
+
+    if text not in BENCHMARK_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(BENCHMARK_NAMES)})"
+        )
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--only",
         action="append",
-        choices=BENCHMARK_NAMES,
+        type=_benchmark_name,
         default=None,
+        metavar="BENCHMARK",
         help="run only this benchmark (repeatable)",
     )
 
@@ -79,9 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     profile = sub.add_parser("profile", help="profile one benchmark with cProfile")
-    profile.add_argument("benchmark", choices=BENCHMARK_NAMES)
+    profile.add_argument("benchmark", type=_benchmark_name)
     profile.add_argument("--quick", action="store_true", help="CI-sized workload")
-    profile.add_argument("--sort", choices=SORT_KEYS, default="tottime")
+    profile.add_argument(
+        "--sort",
+        default="tottime",
+        help="tottime, cumulative or ncalls (default: %(default)s)",
+    )
     profile.add_argument("--limit", type=int, default=25, help="rows to print")
     return parser
 
@@ -114,6 +134,8 @@ def _replaceable_report(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.perf.bench import BENCHMARK_NAMES, run_benchmarks
+
     scale = "quick" if args.quick else "default"
     existing = _replaceable_report(args.out, scale, args.only or BENCHMARK_NAMES)
     before = load_report(args.before) if args.before else None
@@ -155,6 +177,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.perf.profiling import profile_benchmark
+
     print(
         profile_benchmark(
             args.benchmark, quick=args.quick, sort=args.sort, limit=args.limit

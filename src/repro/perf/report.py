@@ -14,12 +14,14 @@ import json
 import platform
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigurationError, DocumentError
-from repro.perf.bench import BenchmarkResult
 from repro.store.readers import BENCH_SCHEMA, load_bench_report
 from repro.utils.host import host_metadata
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.perf.bench import BenchmarkResult
 
 #: Report format identifier (bump on breaking schema changes); defined
 #: with the readers in :mod:`repro.store.readers`.

@@ -25,8 +25,6 @@ The sampled dimensions:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -39,6 +37,7 @@ from repro.scenarios.generate.spec import (
 )
 from repro.scenarios.loader import load_scenario_mapping
 from repro.scenarios.scenario import Scenario
+from repro.store.io import canonical_digest
 from repro.units import KB
 from repro.utils.rng import SeededRNG, derive_seed
 
@@ -70,9 +69,7 @@ def scenario_digest(spec: GenerationSpec, seed: int) -> str:
     every sweep-job fingerprint, and is what ``generate --digests`` and
     the CI fuzz lane assert stability of.
     """
-    basis = {"spec": _identity_mapping(spec), "seed": seed}
-    text = json.dumps(basis, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return canonical_digest({"spec": _identity_mapping(spec), "seed": seed})
 
 
 def _scenario_seed(spec: GenerationSpec, index: int) -> int:

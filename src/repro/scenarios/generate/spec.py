@@ -44,7 +44,6 @@ same contract as the scenario-file loader.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +60,7 @@ from repro.scenarios.loader import (
     parse_bytes,
 )
 from repro.scenarios.scenario import DEFAULT_SCENARIO_POLICIES
+from repro.store.io import canonical_digest
 from repro.units import KB
 
 try:  # Python >= 3.11
@@ -301,8 +301,7 @@ def spec_to_mapping(spec: GenerationSpec) -> Dict[str, object]:
 
 def spec_digest(spec: GenerationSpec) -> str:
     """SHA-256 digest of the spec's canonical mapping rendering."""
-    text = json.dumps(spec_to_mapping(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return canonical_digest(spec_to_mapping(spec))
 
 
 def _as_number(value: object, where: str) -> float:

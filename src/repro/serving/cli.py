@@ -153,8 +153,7 @@ def run_serve(
 ) -> int:
     """Load ``model`` and serve it until interrupted; returns an exit code.
 
-    This is the shared implementation behind both ``python -m
-    repro.serving serve`` and ``python -m repro.models serve``.
+    This is ``python -m repro.serving serve``.
     """
     stream = out if out is not None else sys.stdout
     service = PolicyService(

@@ -86,10 +86,6 @@ class BandwidthResource:
         self.next_free = 0.0
         self.stats = ResourceStats()
 
-    def service_time(self, nbytes: float) -> float:
-        """Return the uncontended service time for a request of ``nbytes``."""
-        return self.latency + max(float(nbytes), 0.0) / self.bytes_per_cycle
-
     def serve(self, now: float, nbytes: float, extra_latency: float = 0.0) -> float:
         """Accept a request at time ``now`` and return its completion time.
 
@@ -114,12 +110,6 @@ class BandwidthResource:
         if extra_latency > 0.0:
             return finish + extra_latency
         return finish
-
-    def utilization(self, elapsed_cycles: float) -> float:
-        """Return the fraction of ``elapsed_cycles`` this resource was busy."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return min(self.stats.busy_cycles / elapsed_cycles, 1.0)
 
     def reset(self) -> None:
         """Clear the queue state and counters (used between experiments)."""

@@ -27,8 +27,6 @@ live here and are re-exported by their historical homes.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -55,8 +53,7 @@ MATRIX_VERSION = 1
 
 def grid_digest(grid: Sequence[Tuple[str, str]]) -> str:
     """Content digest of a grid: its sorted ``(key, fingerprint)`` pairs."""
-    blob = json.dumps(sorted(grid), separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return canonical_digest(sorted(grid))
 
 
 # ----------------------------------------------------------------------

@@ -48,9 +48,3 @@ def align_up(value: int, alignment: int) -> int:
         raise ValueError(f"alignment must be positive, got {alignment}")
     return ((value + alignment - 1) // alignment) * alignment
 
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to the previous multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return (value // alignment) * alignment

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, Mapping, Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -124,23 +124,3 @@ class RunningStats:
         merged.minimum = min(self.minimum, other.minimum)
         merged.maximum = max(self.maximum, other.maximum)
         return merged
-
-
-def summarize_reduction(
-    baseline_values: Sequence[float], subject_values: Sequence[float]
-) -> float:
-    """Return the average fractional reduction of subject vs baseline.
-
-    A value of 0.66 means the subject used 66 % fewer off-chip accesses than
-    the baseline, matching the paper's headline formulation.
-    """
-    if len(baseline_values) != len(subject_values):
-        raise ValueError("reduction series must have matching lengths")
-    reductions: List[float] = []
-    for base, subject in zip(baseline_values, subject_values):
-        if base <= 0.0:
-            continue
-        reductions.append(max(0.0, 1.0 - subject / base))
-    if not reductions:
-        return 0.0
-    return mean(reductions)

@@ -1,9 +1,9 @@
 """Plain-text table formatting for experiment reports.
 
-The benchmark harnesses print the same rows and series that the paper's
+The experiment reports print the same rows and series that the paper's
 tables and figures report.  This module renders them as aligned ASCII
-tables so results are readable in a terminal and in the captured
-``bench_output.txt``.
+tables so results are readable in a terminal and in the report files
+under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,3 @@ def format_table(
     lines.append("-+-".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def format_mapping(title: str, mapping: dict) -> str:
-    """Render a flat ``{key: value}`` mapping as a two-column table."""
-    return format_table(("key", "value"), sorted(mapping.items()), title=title)

@@ -16,7 +16,7 @@ classify images).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.accelerators.descriptor import AcceleratorDescriptor
 from repro.accelerators.library import accelerator_by_name
@@ -263,11 +263,3 @@ def case_study_application(soc_name: str, instance: int = 0) -> ApplicationSpec:
             f"{soc_name!r} is not a case-study SoC (expected SoC4, SoC5, or SoC6)"
         ) from None
 
-
-def case_study_setup(soc_name: str, instance: int = 0) -> Tuple[SoCConfig, List[AcceleratorDescriptor], ApplicationSpec]:
-    """Return (config, accelerators, application) for one case-study SoC."""
-    return (
-        soc_preset(soc_name),
-        case_study_accelerators(soc_name),
-        case_study_application(soc_name, instance),
-    )

@@ -84,13 +84,6 @@ class ApplicationResult:
         """All invocation results across all phases, in completion order."""
         return [result for phase in self.phases for result in phase.invocations]
 
-    def phase_by_name(self, name: str) -> PhaseResult:
-        """Look up a phase result by phase name."""
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise KeyError(f"no phase named {name!r}")
-
     def to_dict(self) -> Dict[str, object]:
         """JSON form (used by the sweep runner); inverse of :meth:`from_dict`."""
         return {

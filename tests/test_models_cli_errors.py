@@ -1,8 +1,9 @@
 """Error-path contract of the ``python -m repro.models`` CLI.
 
-The ``eval`` (and ``serve``) failure modes a user actually hits — an
+The ``eval`` and ``train`` failure modes a user actually hits — an
 empty or missing registry, an unknown ``--scenario`` target, a tampered
-artifact failing its digest gate — must exit with code 2 and a single
+artifact failing its digest gate, a directory that cannot be created —
+and those of ``python -m repro.serving serve`` must exit with code 2 and a single
 ``error: ...`` line on stderr, never a traceback.  Same subprocess
 pattern as ``tests/test_scenario_cli_errors.py``; the artifacts are
 built directly (seeded Q-table updates, no training sweep) so the whole
@@ -116,6 +117,29 @@ class TestEvalErrors:
 
 
 @pytest.mark.slow
+class TestTrainErrors:
+    """A directory ``train`` cannot use fails cleanly, before or after training."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        return path
+
+    def test_cache_dir_under_a_file(self, blocker):
+        completed = run_models_cli(
+            "train", "quickstart", "--cache-dir", str(blocker / "x")
+        )
+        assert_clean_error(completed, "cannot create the result cache directory")
+
+    def test_models_dir_under_a_file(self, blocker):
+        completed = run_models_cli(
+            "train", "quickstart", "--models-dir", str(blocker / "m"),
+            "--training-iterations", "1", "--no-cache", "--workers", "1",
+        )
+        assert_clean_error(completed, "cannot write model 'quickstart'")
+
+
 class TestDescribeAndServeErrors:
     """The read-only verbs share the same clean-error contract."""
 
@@ -124,12 +148,6 @@ class TestDescribeAndServeErrors:
             "describe", "ghost", "--models-dir", str(tmp_path)
         )
         assert_clean_error(completed, "ghost")
-
-    def test_serve_unknown_model(self, tmp_path):
-        completed = run_models_cli(
-            "serve", "ghost", "--models-dir", str(tmp_path)
-        )
-        assert_clean_error(completed, "no model named", "ghost")
 
     def test_serving_cli_serve_unknown_model(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}

@@ -24,7 +24,7 @@ from repro.perf import (
     run_benchmarks,
     write_report,
 )
-from repro.perf import cli
+from repro.perf import bench
 from repro.perf.bench import BenchmarkResult
 from repro.perf.cli import main
 from repro.perf.compare import render_findings
@@ -306,7 +306,7 @@ class TestRunOverwriteGuard:
         report = tmp_path / "BENCH_core_hotpaths.json"
         shutil.copyfile(COMMITTED_RESULTS / "BENCH_core_hotpaths.json", report)
         committed = report.read_bytes()
-        monkeypatch.setattr(cli, "run_benchmarks", _must_not_run)
+        monkeypatch.setattr(bench, "run_benchmarks", _must_not_run)
         assert main(["run", *flags, "--out", str(report)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -329,7 +329,7 @@ class TestRunOverwriteGuard:
         report = tmp_path / committed
         shutil.copyfile(COMMITTED_RESULTS / committed, report)
         held = set(load_report(report)["benchmarks"])
-        monkeypatch.setattr(cli, "run_benchmarks", _stub_benchmarks)
+        monkeypatch.setattr(bench, "run_benchmarks", _stub_benchmarks)
         assert main(["run", *flags, "--out", str(report)]) == 0
         replaced = load_report(report)
         # A full run adds the benchmarks the report lacked (serving).
@@ -351,7 +351,7 @@ class TestRunOverwriteGuard:
         report = tmp_path / committed
         shutil.copyfile(COMMITTED_RESULTS / committed, report)
         slo = load_report(report)["slo"]
-        monkeypatch.setattr(cli, "run_benchmarks", _stub_benchmarks)
+        monkeypatch.setattr(bench, "run_benchmarks", _stub_benchmarks)
         assert main(["run", *flags, "--out", str(report)]) == 0
         replaced = load_report(report)
         assert replaced["benchmarks"]["serving"]["checksum"] == "0" * 16

@@ -11,11 +11,11 @@ from repro.sim.resources import BandwidthResource
 class TestServiceTime:
     def test_uncontended_service_time(self):
         resource = BandwidthResource("r", bytes_per_cycle=4.0, latency=10.0)
-        assert resource.service_time(40) == pytest.approx(20.0)
+        assert resource.serve(now=5.0, nbytes=40) == pytest.approx(25.0)
 
     def test_zero_bytes_only_latency(self):
         resource = BandwidthResource("r", bytes_per_cycle=4.0, latency=7.0)
-        assert resource.service_time(0) == pytest.approx(7.0)
+        assert resource.serve(now=0.0, nbytes=0) == pytest.approx(7.0)
 
 
 class TestServe:
@@ -57,12 +57,6 @@ class TestServe:
         assert resource.stats.requests == 2
         assert resource.stats.bytes_served == 20
         assert resource.stats.queue_cycles > 0
-
-    def test_utilization_bounded(self):
-        resource = BandwidthResource("r", bytes_per_cycle=1.0)
-        resource.serve(0.0, 100)
-        assert 0.0 < resource.utilization(200.0) <= 1.0
-        assert resource.utilization(0.0) == 0.0
 
     def test_reset_clears_state(self):
         resource = BandwidthResource("r", bytes_per_cycle=1.0)

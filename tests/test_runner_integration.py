@@ -92,13 +92,6 @@ class TestRunApplication:
         result = run_application(soc, runtime, small_app(["FFT"]))
         assert result.policy_name == "manual"
 
-    def test_phase_lookup_by_name(self, small_system):
-        soc, runtime = small_system(FixedPolicy(CoherenceMode.COH_DMA))
-        result = run_application(soc, runtime, small_app(["FFT", "Sort"]))
-        assert result.phase_by_name("phase-a").name == "phase-a"
-        with pytest.raises(KeyError):
-            result.phase_by_name("missing")
-
     def test_run_phase_standalone(self, small_system):
         soc, runtime = small_system(FixedPolicy(CoherenceMode.COH_DMA))
         phase = small_app(["FFT", "Sort"]).phases[0]

@@ -73,6 +73,17 @@ class TestUnknownScenario:
         )
 
 
+class TestUnusableDirectory:
+    def test_run_cache_dir_under_a_file(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert_clean_error(
+            run_cli("run", "quickstart", "--cache-dir", str(blocker / "x")),
+            "cannot create the result cache directory",
+            str(blocker / "x"),
+        )
+
+
 @pytest.mark.slow
 class TestMalformedPretrained:
     """Broken --pretrained artifacts fail before any simulation starts."""

@@ -12,7 +12,6 @@ from repro.utils.stats import (
     geometric_mean,
     mean,
     normalize,
-    summarize_reduction,
 )
 
 
@@ -95,15 +94,3 @@ class TestRunningStats:
         assert merged.minimum == 1.0
         assert merged.maximum == 4.0
         assert merged.mean == pytest.approx(2.5)
-
-
-class TestSummaries:
-    def test_reduction_of_half(self):
-        assert summarize_reduction([10.0, 10.0], [5.0, 5.0]) == pytest.approx(0.5)
-
-    def test_reduction_never_negative(self):
-        assert summarize_reduction([1.0], [5.0]) == 0.0
-
-    def test_reduction_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            summarize_reduction([1.0], [])

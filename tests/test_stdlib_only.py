@@ -73,6 +73,7 @@ IMPORT_LIMITS = {
     "repro": REPRO_CHILDREN,
     "repro.serving.cli": SIMULATOR_AND_SWEEPS,
     "repro.tracking.cli": SIMULATOR_AND_SWEEPS,
+    "repro.perf.cli": SIMULATOR_AND_SWEEPS,
     "repro.experiments.socs": HTTP_STACK,
     "repro.scenarios.run": HTTP_STACK,
     "repro.experiments.isolation": HTTP_STACK,

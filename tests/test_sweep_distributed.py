@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import importlib
+import io
 import json
 import os
 import signal
@@ -686,6 +687,17 @@ class TestCli:
 
         assert main(["worker", "--coordinator", "ftp://nope"]) == 2
         assert "invalid coordinator URL" in capsys.readouterr().out
+
+    def test_coordinate_reports_a_figure_error(self, tmp_path):
+        from repro.experiments.sweep.cli import main
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        stream = io.StringIO()
+        argv = ["coordinate", "overhead", "--no-cache", "--manifest-dir"]
+        assert main([*argv, str(blocker / "m")], stream=stream) == 2
+        last = stream.getvalue().splitlines()[-1]
+        assert last.startswith("error: cannot create the manifest directory")
 
     def test_module_alias_dispatches(self):
         # python -m repro.experiments.sweep shares the experiments CLI.

@@ -374,6 +374,38 @@ class TestMergeCli:
         assert cli_main(["socs", "--no-cache", "--resume"], stream=stream) == 2
 
 
+class TestFigureCliErrors:
+    """A directory the CLI cannot use is ``error: ...`` and exit 2."""
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--cache-dir"], "cannot create the result cache directory"),
+            (["--no-cache", "--manifest-dir"], "cannot create the manifest directory"),
+        ],
+        ids=["cache-dir", "manifest-dir"],
+    )
+    def test_directory_under_a_file(self, tmp_path, flags, expected):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        stream = io.StringIO()
+        argv = ["overhead", "--workers", "1", *flags, str(blocker / "sub")]
+        assert cli_main(argv, stream=stream) == 2
+        assert stream.getvalue() == f"error: {expected} {blocker / 'sub'}: Not a directory\n"
+
+    def test_resume_over_a_manifest_without_header(self, tmp_path):
+        argv = ["overhead", "--workers", "1", "--cache-dir", str(tmp_path)]
+        assert cli_main(argv, stream=io.StringIO()) == 0
+        (manifest,) = (tmp_path / "manifests").iterdir()
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("{}\n" + "".join(lines[1:]))
+        stream = io.StringIO()
+        assert cli_main(argv + ["--resume"], stream=stream) == 2
+        text = stream.getvalue()
+        assert text.startswith("error: ") and "does not start with a header line" in text
+        assert "[sweep]" not in text
+
+
 @pytest.mark.slow
 class TestFigureShardAcceptance:
     """The CI sharded-lane pipeline, end to end, against the committed file.

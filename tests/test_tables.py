@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.tables import format_mapping, format_table
+from repro.utils.tables import format_table
 
 
 class TestFormatTable:
@@ -34,13 +34,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table(["a"], [])
         assert "a" in text
-
-
-class TestFormatMapping:
-    def test_mapping_rendered_sorted(self):
-        text = format_mapping("t", {"b": 2, "a": 1})
-        lines = text.splitlines()
-        assert lines[0] == "t"
-        a_index = next(i for i, line in enumerate(lines) if line.startswith("a"))
-        b_index = next(i for i, line in enumerate(lines) if line.startswith("b"))
-        assert a_index < b_index

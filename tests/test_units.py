@@ -9,7 +9,6 @@ from repro.units import (
     GB,
     KB,
     MB,
-    align_down,
     align_up,
     bytes_to_lines,
 )
@@ -47,12 +46,8 @@ class TestAlignment:
         assert align_up(128, 64) == 128
         assert align_up(0, 64) == 0
 
-    def test_align_down(self):
-        assert align_down(100, 64) == 64
-        assert align_down(128, 64) == 128
-
     def test_alignment_must_be_positive(self):
         with pytest.raises(ValueError):
             align_up(10, 0)
         with pytest.raises(ValueError):
-            align_down(10, -4)
+            align_up(10, -4)

@@ -10,7 +10,6 @@ from repro.utils.rng import SeededRNG
 from repro.workloads.case_studies import (
     case_study_accelerators,
     case_study_application,
-    case_study_setup,
     soc4_accelerators,
     soc5_accelerators,
     soc6_accelerators,
@@ -156,10 +155,10 @@ class TestCaseStudies:
         assert set(app.accelerators_used()) <= accelerators
 
     def test_setup_bundles_config_and_app(self):
-        config, accelerators, app = case_study_setup("SoC5")
+        config = soc_preset("SoC5")
         assert config.name == "SoC5"
-        assert len(accelerators) <= config.num_accelerator_tiles
-        assert app.total_invocations > 0
+        assert len(case_study_accelerators("SoC5")) <= config.num_accelerator_tiles
+        assert case_study_application("SoC5").total_invocations > 0
 
     def test_unknown_case_study_raises(self):
         with pytest.raises(ConfigurationError):
