@@ -161,14 +161,21 @@ def _cmd_train(args: argparse.Namespace, out: TextIO) -> int:
     scenario = _load_scenario_target(args.scenario)
     name = args.name if args.name is not None else scenario.name
     registry = ModelRegistry(args.models_dir)
-    # Fail fast: an illegal name or a refused overwrite must surface
-    # before the training run, not after it has burned the schedule.
+    # Fail fast: an illegal name, a refused overwrite or a registry
+    # directory that cannot be created must surface before the training
+    # run, not after it has burned the schedule.
     destination = registry.path_for(name)
     if destination.exists() and not args.force:
         raise ModelError(
             f"model {name!r} already exists at {destination}; pass --force to overwrite"
         )
     runner = _make_runner(args)
+    try:
+        registry.root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ModelError(
+            f"cannot write model {name!r} to {destination}: {exc.strerror or exc}"
+        ) from exc
     started = time.perf_counter()
     run = train_artifact(
         scenario,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.accelerators.invocation import InvocationRequest
 from repro.soc.address import Buffer
@@ -36,30 +36,20 @@ class ExecutionRecord:
     stats: TransferStats = field(default_factory=TransferStats)
 
 
-#: Memo table for :func:`_stream_windows`.  The same split repeats on every
-#: invocation of the same accelerator and footprint, so results are cached
-#: (read-only); the cap bounds memory on pathological workload diversity.
-_WINDOWS_MEMO: dict = {}
-_MEMO_CAP = 16384
-
-
 def _stream_windows(total_bytes: int, iterations: int) -> List[Tuple[int, int]]:
-    """Split a virtual stream of ``total_bytes`` into per-iteration windows."""
-    key = (total_bytes, iterations)
-    cached = _WINDOWS_MEMO.get(key)
-    if cached is not None:
-        return cached
+    """Split a virtual stream of ``total_bytes`` into per-iteration windows.
+
+    Window *i* is ``(start, size)`` and runs from
+    ``round(i * total_bytes / iterations)`` to the same bound at *i* + 1;
+    each bound is computed once, as one window's end and the next one's
+    start.
+    """
     windows: List[Tuple[int, int]] = []
-    for index in range(iterations):
-        start = round(index * total_bytes / iterations)
-        end = round((index + 1) * total_bytes / iterations)
-        if end > start:
-            windows.append((start, end - start))
-        else:
-            windows.append((start, 0))
-    if len(_WINDOWS_MEMO) >= _MEMO_CAP:
-        _WINDOWS_MEMO.clear()
-    _WINDOWS_MEMO[key] = windows
+    start = 0
+    for index in range(1, iterations + 1):
+        end = round(index * total_bytes / iterations)
+        windows.append((start, end - start))
+        start = end
     return windows
 
 
@@ -116,6 +106,17 @@ class InvocationExecutor:
 
     def __init__(self, soc: "Soc") -> None:  # noqa: F821 - forward reference
         self.soc = soc
+        # Stream windows by (total bytes, iterations): every invocation of an
+        # accelerator at one footprint splits its streams the same way.  The
+        # memo dies with the executor, and so with its simulation.
+        self._windows: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+
+    def _windows_of(self, total_bytes: int, iterations: int) -> List[Tuple[int, int]]:
+        key = (total_bytes, iterations)
+        windows = self._windows.get(key)
+        if windows is None:
+            windows = self._windows[key] = _stream_windows(total_bytes, iterations)
+        return windows
 
     # ------------------------------------------------------------------
     def execute(
@@ -158,28 +159,29 @@ class InvocationExecutor:
             1, math.ceil((read_total + write_total) / descriptor.burst_bytes)
         )
         iterations = max(1, min(self.MAX_ITERATIONS, total_bursts))
-        read_windows = _stream_windows(read_total, iterations)
-        write_windows = _stream_windows(write_total, iterations)
+        windows = zip(
+            self._windows_of(read_total, iterations), self._windows_of(write_total, iterations)
+        )
         compute_chunk = compute_total / iterations
 
         comm_cycles = 0.0
         stats = TransferStats()
         start_time = engine.now
 
-        for index in range(iterations):
+        for read_window, write_window in windows:
             iteration_start = engine.now
             finish = iteration_start
 
             # The pieces of a window go out back to back: each starts when
             # the previous one finishes.
             cursor = finish
-            for segments in read_pieces(*read_windows[index]):
+            for segments in read_pieces(*read_window):
                 cursor = transfer(cursor, segments, False, stats)
             if cursor > finish:
                 finish = cursor
 
             cursor = finish
-            for segments in write_pieces(*write_windows[index]):
+            for segments in write_pieces(*write_window):
                 cursor = transfer(cursor, segments, True, stats)
             if cursor > finish:
                 finish = cursor

@@ -278,10 +278,6 @@ class Allocator:
         """Currently live allocations by name."""
         return dict(self._allocations)
 
-    def used_per_partition(self) -> List[int]:
-        """Bytes allocated in each partition."""
-        return [state.used for state in self._partitions]
-
 
 def _coalesce(segments: Sequence[BufferSegment]) -> List[BufferSegment]:
     """Merge physically contiguous segments on the same memory tile."""

@@ -56,16 +56,6 @@ class CoherenceMode(Enum):
             CoherenceMode.FULL_COH,
         )
 
-    @property
-    def uses_private_cache(self) -> bool:
-        """Whether the accelerator sends requests to its own private cache."""
-        return self is CoherenceMode.FULL_COH
-
-    @property
-    def hardware_recalls(self) -> bool:
-        """Whether the hardware recalls data from private caches on demand."""
-        return self in (CoherenceMode.COH_DMA, CoherenceMode.FULL_COH)
-
     def __str__(self) -> str:
         return self.value
 

@@ -21,16 +21,28 @@ every resource directly, with positional calls.  Coherent-DMA recalls skip
 private caches that hold no lines without calling into them.
 :meth:`Datapath.dma_read` / :meth:`Datapath.dma_write` run a single
 transfer through a fresh plan.
+
+The datapath takes the SoC's components at construction and never the
+:class:`repro.soc.soc.Soc` itself, so nothing in a finished simulation
+points back at its SoC and the whole model is freed by reference counting
+as soon as the caller drops it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CoherenceError
 from repro.soc.address import BufferSegment
 from repro.soc.cache import SetAssociativeCache, flush_cost_cycles
 from repro.soc.coherence import CoherenceMode
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.sim.resources import BandwidthResource
+    from repro.soc.config import SoCConfig
+    from repro.soc.dram import DramController
+    from repro.soc.llc import LLCPartition
+    from repro.soc.noc import MeshNoC
 
 
 class TransferStats:
@@ -125,7 +137,7 @@ Transfer = Callable[[float, Segments, bool, TransferStats], float]
 
 
 class Datapath:
-    """Executes DMA transfers and flushes against a :class:`repro.soc.soc.Soc`."""
+    """Executes DMA transfers and flushes against the components of one SoC."""
 
     #: How many bytes of LLC misses are coalesced into one DRAM transaction.
     #: The LLC fetches misses with (clusters of) line-granularity requests,
@@ -139,19 +151,34 @@ class Datapath:
     #: a coarser granularity.
     PROTOCOL_LINE_BYTES = 64
 
-    def __init__(self, soc: "Soc") -> None:  # noqa: F821 - forward reference
-        self.soc = soc
-        self.timing = soc.config.timing
-        self.line_bytes = soc.config.cache_line_bytes
+    def __init__(
+        self,
+        config: "SoCConfig",
+        *,
+        noc: "MeshNoC",
+        memory_tiles: Sequence[str],
+        llc_partitions: Sequence["LLCPartition"],
+        dram_controllers: Sequence["DramController"],
+        cpu_caches: Sequence[SetAssociativeCache],
+        accelerator_caches: Mapping[str, SetAssociativeCache],
+        accelerator_links: Mapping[str, "BandwidthResource"],
+    ) -> None:
+        self.timing = config.timing
+        self.line_bytes = config.cache_line_bytes
         # The SoC's components, which it resets in place but never replaces.
         # Each memory tile's (DRAM controller, LLC array, LLC port, tile name)
         # is resolved once; plan() adds the NoC route from the accelerator.
-        self._llc_partitions = soc.llc_partitions
-        self._dram_controllers = soc.dram_controllers
-        self._acc_links = soc.accelerator_links
+        self._noc = noc
+        self._llc_partitions = llc_partitions
+        self._dram_controllers = dram_controllers
+        self._acc_caches = accelerator_caches
+        self._acc_links = accelerator_links
+        # Every private cache, the processors' first: flushes walk them in
+        # this order and coherent DMA recalls from them in this order.
+        self._private_caches = (*cpu_caches, *accelerator_caches.values())
         self._memories = tuple(
-            (soc.dram_controllers[tile], llc.cache, llc.port, soc.memory_tile_name(tile))
-            for tile, llc in enumerate(soc.llc_partitions)
+            (dram_controllers[tile], llc.cache, llc.port, memory_tiles[tile])
+            for tile, llc in enumerate(llc_partitions)
         )
 
     # ------------------------------------------------------------------
@@ -180,7 +207,9 @@ class Datapath:
         # Flush the processors' private caches (and any accelerator private
         # caches that may hold the data from earlier fully-coherent runs).
         walk_cycles = 0.0
-        for cache in self._flushable_private_caches(exclude_private):
+        for cache in self._private_caches:
+            if cache is exclude_private:
+                continue
             for segment in segments:
                 writebacks, invalidations = cache.flush_range(segment.start, segment.size)
                 if not invalidations and not writebacks:
@@ -226,15 +255,6 @@ class Datapath:
 
         finish = max(finish, now + walk_cycles)
         return finish, stats
-
-    def _flushable_private_caches(
-        self, exclude: Optional[SetAssociativeCache]
-    ) -> Iterable[SetAssociativeCache]:
-        for cache in self.soc.cpu_l2_caches:
-            yield cache
-        for cache in self.soc.accelerator_private_caches.values():
-            if cache is not exclude:
-                yield cache
 
     def _install_lines_in_llc(
         self, now: float, mem_tile: int, base_addr: int, lines: int, stats: TransferStats
@@ -331,7 +351,7 @@ class Datapath:
         ``route`` is the NoC route latency, which the transfer loops pass to
         ``noc_link.serve`` as extra latency, as :meth:`MeshNoC.transfer` does.
         """
-        noc = self.soc.noc
+        noc = self._noc
         return tuple(
             (dram, cache, port, noc.memory_link(tile), noc.route_latency(acc_tile, name))
             for tile, (dram, cache, port, name) in enumerate(self._memories)
@@ -382,7 +402,9 @@ class Datapath:
         burst_overhead = self.timing.dma_burst_overhead_cycles
         coalesce_bytes = self.LLC_MISS_COALESCE_BYTES
         recall = self._recall_from_private_caches
-        recall_targets = self.soc.private_caches_excluding(acc_tile)
+        # Coherent DMA recalls from every private cache but the accelerator's own.
+        own_cache = self._acc_caches.get(acc_tile)
+        recall_targets = [cache for cache in self._private_caches if cache is not own_cache]
         # Coherent-DMA requests keep the LLC pipeline busy longer per
         # datum (directory lookups and recalls).
         port_factor = self.timing.coh_dma_port_factor if coherent else 1

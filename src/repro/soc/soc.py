@@ -106,10 +106,19 @@ class Soc:
         )
         self.allocator = Allocator(self.address_map)
 
-        # Monitors, datapath, engine.
+        # Monitors, datapath, engine.  No component refers back to the SoC
+        # (docs/architecture.md, "Lifetime").
         self.monitors = HardwareMonitors(self.dram_controllers)
-        self._recall_targets: Dict[str, List[SetAssociativeCache]] = {}
-        self.datapath = Datapath(self)
+        self.datapath = Datapath(
+            config,
+            noc=self.noc,
+            memory_tiles=[self.memory_tile_name(tile) for tile in range(config.num_mem_tiles)],
+            llc_partitions=self.llc_partitions,
+            dram_controllers=self.dram_controllers,
+            cpu_caches=self.cpu_l2_caches,
+            accelerator_caches=self.accelerator_private_caches,
+            accelerator_links=self.accelerator_links,
+        )
         self.engine = Engine()
 
     # ------------------------------------------------------------------
@@ -137,24 +146,6 @@ class Soc:
     def private_cache_of(self, acc_tile: str) -> Optional[SetAssociativeCache]:
         """Private cache of an accelerator tile (``None`` if it has none)."""
         return self.accelerator_private_caches.get(acc_tile)
-
-    def private_caches_excluding(self, acc_tile: str) -> List[SetAssociativeCache]:
-        """All private caches except the given accelerator's own cache.
-
-        This is the set a coherent-DMA request may need to recall data from:
-        the processors' L2 caches plus the other accelerators' caches.  The
-        cache population is fixed at construction, so the list is memoized
-        per tile (coherent DMA asks for it on every transfer).
-        """
-        cached = self._recall_targets.get(acc_tile)
-        if cached is None:
-            cached = list(self.cpu_l2_caches) + [
-                cache
-                for name, cache in self.accelerator_private_caches.items()
-                if name != acc_tile
-            ]
-            self._recall_targets[acc_tile] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Data allocation and warm-up

@@ -17,7 +17,6 @@ class TestModeProperties:
         assert mode.requires_private_flush
         assert mode.requires_llc_flush
         assert not mode.uses_llc
-        assert not mode.uses_private_cache
 
     def test_llc_coherent_requires_only_private_flush(self):
         mode = CoherenceMode.LLC_COH_DMA
@@ -25,18 +24,17 @@ class TestModeProperties:
         assert not mode.requires_llc_flush
         assert mode.uses_llc
 
-    def test_coherent_dma_needs_no_flush_but_recalls(self):
+    def test_coherent_dma_needs_no_flush(self):
         mode = CoherenceMode.COH_DMA
         assert not mode.requires_private_flush
         assert not mode.requires_llc_flush
-        assert mode.hardware_recalls
         assert mode.uses_llc
 
-    def test_fully_coherent_uses_private_cache(self):
+    def test_fully_coherent_needs_no_flush(self):
         mode = CoherenceMode.FULL_COH
-        assert mode.uses_private_cache
         assert mode.uses_llc
         assert not mode.requires_private_flush
+        assert not mode.requires_llc_flush
 
     def test_labels_match_paper_naming(self):
         labels = [mode.label for mode in COHERENCE_MODES]

@@ -83,6 +83,22 @@ class TestCoherentDmaPath:
             buffer.segments[0].start, 4 * KB
         ) == 0
 
+    def test_recalls_from_every_private_cache_but_its_own(self, soc):
+        # acc0's coherent DMA recalls the lines the other CPU's L2 and acc1's
+        # cache hold, and leaves its own cache alone.
+        buffer = soc.allocate_buffer(4 * KB)
+        start = buffer.segments[0].start
+        own = soc.private_cache_of("acc0")
+        others = [soc.cpu_l2_caches[1], soc.private_cache_of("acc1")]
+        for cache in (own, *others):
+            cache.install_range(start, 4 * KB, dirty=False)
+        _, stats = soc.datapath.dma_read(
+            0.0, "acc0", buffer.slice(0, 4 * KB), CoherenceMode.COH_DMA, 1024
+        )
+        assert stats.recalls == 2 * 64
+        assert [cache.resident_lines_in_range(start, 4 * KB) for cache in others] == [0, 0]
+        assert own.resident_lines_in_range(start, 4 * KB) == 64
+
     def test_no_recalls_when_caches_empty(self, soc):
         _, _, stats = read_buffer(soc, CoherenceMode.COH_DMA, warm=False)
         assert stats.recalls == 0

@@ -3,8 +3,9 @@
 CI's lint job runs ruff with the missing-docstring rules (D100-D104,
 D106) over ``repro/__init__.py``, ``repro.core``, ``repro.models``,
 ``repro.scenarios``, ``repro.serving``, ``repro.sim``, ``repro.soc``,
-``repro.perf``, ``repro.net``, ``repro.store``, and ``repro.tracking``;
-this test applies the
+``repro.runtime``, ``repro.workloads``, ``repro.accelerators``,
+``repro.perf``, ``repro.net``, ``repro.store``, and ``repro.tracking``
+(plus the sweep execution layer listed below); this test applies the
 same policy with the standard library's ``ast`` so the check also runs in
 environments without ruff — every module, public class, and public
 function/method in those trees must carry a docstring whose first line is
@@ -30,6 +31,9 @@ SCOPED_FILES: List[Path] = sorted(
     + list((SRC / "serving").rglob("*.py"))
     + list((SRC / "sim").rglob("*.py"))
     + list((SRC / "soc").rglob("*.py"))
+    + list((SRC / "runtime").rglob("*.py"))
+    + list((SRC / "workloads").rglob("*.py"))
+    + list((SRC / "accelerators").rglob("*.py"))
     + list((SRC / "perf").rglob("*.py"))
     + list((SRC / "net").rglob("*.py"))
     + list((SRC / "store").rglob("*.py"))
@@ -102,6 +106,9 @@ def test_scope_covers_expected_modules():
     assert any(name.startswith("serving/") for name in names)
     assert any(name.startswith("sim/") for name in names)
     assert any(name.startswith("soc/") for name in names)
+    assert any(name.startswith("runtime/") for name in names)
+    assert any(name.startswith("workloads/") for name in names)
+    assert any(name.startswith("accelerators/") for name in names)
     assert any(name.startswith("perf/") for name in names)
     assert any(name.startswith("net/") for name in names)
     assert any(name.startswith("store/") for name in names)

@@ -58,6 +58,18 @@ class TestStreamWindows:
         assert _stream_windows(total, 1) == [(0, total)]
 
     @given(
+        total=st.integers(min_value=0, max_value=1 << 24),
+        iterations=st.integers(min_value=1, max_value=2 * InvocationExecutor.MAX_ITERATIONS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_are_the_rounded_shares(self, total, iterations):
+        # Window i runs from round(i * total / iterations) to the same bound
+        # at i + 1, exactly: every digest depends on these integers.
+        bounds = [round(index * total / iterations) for index in range(iterations + 1)]
+        expected = [(bounds[i], bounds[i + 1] - bounds[i]) for i in range(iterations)]
+        assert _stream_windows(total, iterations) == expected
+
+    @given(
         total=st.integers(min_value=0, max_value=1 << 20),
         iterations=st.integers(min_value=1, max_value=64),
     )

@@ -49,6 +49,7 @@ from repro.experiments.socs import figure9_setup, run_soc_comparison
 from repro.experiments.summary import summarize_headline
 from repro.experiments.training import run_training_study
 from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
+from repro.store.io import canonical_digest
 from repro.units import KB, MB
 from repro.workloads.spec import ApplicationSpec, PhaseSpec, ThreadSpec
 
@@ -196,6 +197,23 @@ class TestIsolationExperiment:
     def test_report_renders(self, measurements):
         text = report.report_isolation(measurements)
         assert "Figure 2" in text and "non-coh-dma time" in text
+
+    def test_payloads_are_pinned(self):
+        # Four access patterns at footprints inside the 32 KB private cache,
+        # between it and the 512 KB LLC partition, at the partition and past
+        # it, in every mode, run serially.  No other tier-1 test pins what an
+        # isolation job returns, so a change to the simulator that moves any
+        # of these numbers fails here.
+        setup = motivation_setup(line_bytes=256)
+        accelerators = [accelerator_by_name(name) for name in ("FFT", "Sort", "SPMV", "GEMM")]
+        sizes = {"16K": 16 * KB, "128K": 128 * KB, "512K": 512 * KB, "2M": 2 * MB}
+        measurements = run_isolation_experiment(setup, accelerators=accelerators, sizes=sizes)
+        rows = [
+            (m.accelerator_name, m.footprint_bytes, m.mode.label, m.exec_cycles, m.ddr_accesses)
+            for m in measurements
+        ]
+        assert len(rows) == 4 * 4 * 4
+        assert canonical_digest(rows)[:16] == "8d133fbf768282fd"
 
 
 class TestProfiling:

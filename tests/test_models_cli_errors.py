@@ -22,6 +22,7 @@ import pytest
 
 from serving_harness import make_artifact
 
+from repro.models.cli import main as models_main
 from repro.models.registry import ModelRegistry
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -116,9 +117,27 @@ class TestEvalErrors:
         assert_clean_error(completed, "not valid JSON")
 
 
+class TestTrainFailsFast:
+    """``train`` checks its registry directory before it trains."""
+
+    def test_models_dir_under_a_file_trains_nothing(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def train_artifact(*args, **kwargs):
+            raise AssertionError("training ran before the registry directory was checked")
+
+        monkeypatch.setattr("repro.models.train.train_artifact", train_artifact)
+        code = models_main(
+            ["train", "quickstart", "--models-dir", str(blocker / "m"), "--no-cache"]
+        )
+        assert code == 2
+        assert "error: cannot write model 'quickstart'" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 class TestTrainErrors:
-    """A directory ``train`` cannot use fails cleanly, before or after training."""
+    """A directory ``train`` cannot use fails cleanly, before training."""
 
     @pytest.fixture
     def blocker(self, tmp_path):

@@ -34,11 +34,6 @@ class TestConstruction:
     def test_tile_listings(self, tiny_soc, tiny_config):
         assert len(tiny_soc.accelerator_tiles()) == tiny_config.num_accelerator_tiles
 
-    def test_private_caches_excluding(self, tiny_soc, tiny_config):
-        others = list(tiny_soc.private_caches_excluding("acc0"))
-        expected = tiny_config.num_cpus + tiny_config.num_accelerator_tiles - 1
-        assert len(others) == expected
-
     def test_describe_contains_tiles(self, tiny_soc):
         summary = tiny_soc.describe()
         assert summary["name"] == "TestSoC"
