@@ -11,8 +11,7 @@ the size of the accelerator's private local memory (scratchpad).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict
 
@@ -123,16 +122,6 @@ class AcceleratorDescriptor:
     def compute_cycles(self, footprint_bytes: int) -> float:
         """Total datapath compute cycles for one invocation."""
         return self.compute_cycles_per_byte * footprint_bytes
-
-    def dma_bursts(self, footprint_bytes: int) -> int:
-        """Approximate number of DMA bursts issued during one invocation."""
-        total = self.read_bytes(footprint_bytes) + self.write_bytes(footprint_bytes)
-        return max(1, math.ceil(total / self.burst_bytes))
-
-    # ------------------------------------------------------------------
-    def with_overrides(self, **overrides: object) -> "AcceleratorDescriptor":
-        """Return a copy with some fields replaced (runtime configurability)."""
-        return replace(self, **overrides)
 
     def __str__(self) -> str:
         return self.name

@@ -41,7 +41,8 @@ import time
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from repro.errors import DocumentError, ReproError, SweepError
+from repro.cli import non_negative_float, positive_float, run_command
+from repro.errors import SweepError
 from repro.experiments.sweep.cache import ResultCache
 from repro.experiments.sweep.config import RunConfig, add_runner_arguments
 from repro.experiments.sweep.merge import (
@@ -52,6 +53,7 @@ from repro.experiments.sweep.merge import (
 from repro.experiments.sweep.pool import SweepRunner
 from repro.experiments.sweep.shard import ShardIncompleteError
 from repro.store.io import read_document
+
 
 class _StatsRunner(SweepRunner):
     """A SweepRunner that accumulates per-spec execution statistics."""
@@ -94,12 +96,14 @@ def _add_figure_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser of a figure run, ``python -m repro.experiments FIGURE``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Run a figure harness through the parallel sweep runner.",
     )
     _add_figure_arguments(parser)
     add_runner_arguments(parser)
+    parser.set_defaults(run=_cmd_figure)
     return parser
 
 
@@ -125,12 +129,13 @@ def build_coordinate_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--lease-timeout",
-        type=float,
+        type=positive_float,
         default=60.0,
         metavar="SECONDS",
         help="seconds a worker may hold a lease before it is reissued "
         "(default: %(default)s)",
     )
+    parser.set_defaults(run=_cmd_coordinate)
     return parser
 
 
@@ -151,19 +156,20 @@ def build_worker_parser() -> argparse.ArgumentParser:
     add_runner_arguments(parser, cache=False, manifest=False, shard=False, lease=False)
     parser.add_argument(
         "--poll",
-        type=float,
+        type=non_negative_float,
         default=0.5,
         metavar="SECONDS",
         help="idle polling interval (default: %(default)s)",
     )
     parser.add_argument(
         "--grace",
-        type=float,
+        type=non_negative_float,
         default=30.0,
         metavar="SECONDS",
         help="how long to retry before the first successful contact "
         "(default: %(default)s)",
     )
+    parser.set_defaults(run=_cmd_worker)
     return parser
 
 
@@ -206,7 +212,7 @@ def build_merge_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="compare the merged checksums against this committed check "
-        "document; non-zero exit on mismatch",
+        "document; exit 1 on mismatch",
     )
     parser.add_argument(
         "--write-check",
@@ -216,6 +222,7 @@ def build_merge_parser() -> argparse.ArgumentParser:
         help="write the check document (job count + per-job digests + "
         "checksum) for committing as the CI expectation",
     )
+    parser.set_defaults(run=_cmd_merge)
     return parser
 
 
@@ -232,17 +239,7 @@ def _write_json(path: Path, document: object) -> None:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def _main_merge(argv: List[str], out: TextIO) -> int:
-    """Entry point of ``merge-shards``; every failure is one line and exit 1."""
-    args = build_merge_parser().parse_args(argv)
-    try:
-        return _merge(args, out)
-    except (SweepError, DocumentError, OSError) as exc:
-        print(f"merge-shards: {exc}", file=out)
-        return 1
-
-
-def _merge(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_merge(args: argparse.Namespace, out: TextIO) -> int:
     """Fuse, write and check the shards as ``args`` asks."""
     cache = ResultCache(args.cache_dir)
     manifests = discover_shard_manifests(_manifest_dir(args), spec_name=args.spec)
@@ -278,11 +275,10 @@ def _merge(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _main_worker(argv: List[str], out: TextIO) -> int:
-    """Entry point of the ``worker`` subcommand."""
+def _cmd_worker(args: argparse.Namespace, out: TextIO) -> int:
+    """Run the ``worker`` subcommand."""
     from repro.experiments.sweep.distributed import run_worker
 
-    args = build_worker_parser().parse_args(argv)
     return run_worker(
         args.coordinator,
         workers=args.workers if args.workers is not None else 1,
@@ -292,56 +288,47 @@ def _main_worker(argv: List[str], out: TextIO) -> int:
     )
 
 
-def _main_coordinate(argv: List[str], out: TextIO) -> int:
-    """Entry point of the ``coordinate`` subcommand."""
+def _cmd_coordinate(args: argparse.Namespace, out: TextIO) -> int:
+    """Run the ``coordinate`` subcommand."""
     from repro.experiments.sweep.distributed import DistributedBackend
 
-    args = build_coordinate_parser().parse_args(argv)
-    try:
-        config = RunConfig.from_args(args)
-    except SweepError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
+    config = RunConfig.from_args(args)
     backend = DistributedBackend(
         host=args.host,
         port=args.port,
         jobs_per_lease=config.jobs_per_lease,
         lease_timeout=args.lease_timeout,
     )
-    try:
-        backend.start()
-    except SweepError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    print(
-        f"[coordinate] figure={args.figure} serving leases at {backend.url} "
-        f"(lease_timeout={args.lease_timeout:.0f}s, "
-        f"jobs_per_lease={config.jobs_per_lease or 1})",
-        file=out,
-    )
-    try:
+    with backend:
+        print(
+            f"[coordinate] figure={args.figure} serving leases at {backend.url} "
+            f"(lease_timeout={args.lease_timeout:.0f}s, "
+            f"jobs_per_lease={config.jobs_per_lease or 1})",
+            file=out,
+        )
         return _run_figure(args, config.with_backend(backend), out)
-    finally:
-        backend.close()
+
+
+def _cmd_figure(args: argparse.Namespace, out: TextIO) -> int:
+    """Run one figure on this host."""
+    return _run_figure(args, RunConfig.from_args(args), out)
+
+
+#: The subcommands, by the first argument that names them; any other first
+#: argument is a figure.
+_SUBCOMMANDS = {
+    "merge-shards": build_merge_parser,
+    "worker": build_worker_parser,
+    "coordinate": build_coordinate_parser,
+}
 
 
 def main(argv: Optional[List[str]] = None, stream: Optional[TextIO] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    out = stream if stream is not None else sys.stdout
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "merge-shards":
-        return _main_merge(argv[1:], out)
-    if argv and argv[0] == "worker":
-        return _main_worker(argv[1:], out)
-    if argv and argv[0] == "coordinate":
-        return _main_coordinate(argv[1:], out)
-    args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig.from_args(args)
-    except SweepError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    return _run_figure(args, config, out)
+    if argv and argv[0] in _SUBCOMMANDS:
+        return run_command(_SUBCOMMANDS[argv[0]](), argv[1:], stream)
+    return run_command(build_parser(), argv, stream)
 
 
 def _run_figure(args: argparse.Namespace, config: RunConfig, out: TextIO) -> int:
@@ -354,10 +341,9 @@ def _run_figure(args: argparse.Namespace, config: RunConfig, out: TextIO) -> int
     sharded_out = None
     try:
         _, report = FIGURES[args.figure](args.full, args.seed, runner)
-    except ReproError as exc:
-        if config.shard is None or not isinstance(exc, ShardIncompleteError):
-            print(f"error: {exc}", file=out)
-            return 2
+    except ShardIncompleteError as exc:
+        if config.shard is None:
+            raise
         # Expected for a sharded run: the harness stopped at the first
         # payload another shard owns.  The executed slice is checkpointed
         # in the cache and manifest; merge-shards fuses the full grid.

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.cli import positive_int
 from repro.errors import SweepError
 from repro.experiments.sweep.cache import ResultCache
 from repro.experiments.sweep.shard import ShardSpec
@@ -145,14 +146,6 @@ class RunConfig:
         return replace(self, backend=backend)
 
 
-def positive_int(text: str) -> int:
-    """Argparse type for integer flags that must be >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def shard_arg(text: str) -> ShardSpec:
     """Parse ``--shard I/N``, mapping SweepError onto a clean usage error."""
     try:
@@ -237,6 +230,5 @@ __all__ = [
     "RunConfig",
     "add_runner_arguments",
     "autodetect_workers",
-    "positive_int",
     "shard_arg",
 ]

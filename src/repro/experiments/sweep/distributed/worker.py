@@ -23,8 +23,8 @@ Lifecycle:
 A typed error envelope from the coordinator (for example
 ``digest-mismatch``, meaning this worker computed a different payload
 than an already-recorded completion of the same job) is fatal: the
-worker prints the envelope and exits non-zero rather than keep feeding a
-broken sweep.
+worker raises it, and the command line prints it as one ``error:`` line
+and exits 2, rather than keep feeding a broken sweep.
 """
 
 from __future__ import annotations
@@ -157,19 +157,17 @@ def run_worker(
 ) -> int:
     """Pull and execute leases from ``coordinator`` until it goes away.
 
-    Returns a process exit code: ``0`` when the coordinator closed after
-    at least one successful contact (the normal end of a sweep), ``2``
-    when the coordinator could not be reached within ``grace`` seconds
-    or a wire error made continuing unsafe.
+    Returns exit code ``0`` when the coordinator closed after at least one
+    successful contact (the normal end of a sweep).  Raises
+    :class:`~repro.errors.SweepError` for an invalid URL, a coordinator
+    that cannot be reached within ``grace`` seconds, or a wire error that
+    makes continuing unsafe (a :class:`WireError`, such as a
+    ``digest-mismatch`` envelope).
     """
     stream = out if out is not None else sys.stdout
     worker_id = f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
     stats = WorkerStats(worker_id=worker_id)
-    try:
-        transport = _Transport(coordinator)
-    except SweepError as exc:
-        print(f"[worker] error: {exc}", file=stream)
-        return 2
+    transport = _Transport(coordinator)
     connected = False
     deadline = time.monotonic() + grace
     while True:
@@ -181,17 +179,11 @@ def run_worker(
             if connected:
                 break  # the sweep is over; coordinator released its socket
             if time.monotonic() >= deadline:
-                print(
-                    f"[worker] error: coordinator {coordinator} unreachable "
-                    f"for {grace:.0f}s ({exc})",
-                    file=stream,
-                )
-                return 2
+                raise SweepError(
+                    f"coordinator {coordinator} unreachable for {grace:.0f}s ({exc})"
+                ) from exc
             time.sleep(poll)
             continue
-        except WireError as exc:
-            print(f"[worker] protocol error: {exc}", file=stream)
-            return 2
         connected = True
         lease = document.get("lease")
         if not isinstance(lease, dict):
@@ -212,9 +204,6 @@ def run_worker(
             )
         except ConnectionError:
             break  # coordinator died while we held a lease; nothing to save
-        except WireError as exc:
-            print(f"[worker] protocol error: {exc}", file=stream)
-            return 2
         stats.leases += 1
         stats.jobs += int(receipt.get("accepted", 0))
         stats.duplicates += int(receipt.get("duplicates", 0))

@@ -29,6 +29,7 @@ by the calling process (workers never touch disk):
 
 from __future__ import annotations
 
+import argparse
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -121,6 +122,15 @@ class SweepRunner:
                 f"config must be a RunConfig, got {type(config).__name__}"
             )
         self.config = config
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace) -> "SweepRunner":
+        """A runner configured by :func:`add_runner_arguments` flags.
+
+        This is how every command-line front end builds its runner; see
+        :meth:`RunConfig.from_args` for the defaulting rules.
+        """
+        return cls(config=RunConfig.from_args(args))
 
     # ------------------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepResult:

@@ -24,17 +24,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from repro.errors import ModelError, ReproError
-from repro.experiments.sweep.config import (
-    RunConfig,
-    add_runner_arguments,
-    positive_int as _positive_int,
-)
+from repro.cli import positive_int, run_command
+from repro.errors import ModelError
+from repro.experiments.sweep.config import add_runner_arguments
 from repro.experiments.sweep.pool import SweepRunner
 from repro.models.registry import DEFAULT_MODELS_DIR, ModelRegistry
 from repro.utils.tables import format_table
@@ -47,12 +43,6 @@ def _add_models_dir(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help=f"model registry directory (default: $REPRO_MODELS_DIR or {DEFAULT_MODELS_DIR})",
     )
-
-
-def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
-    # Single-sourced from repro.experiments.sweep.config so the runner
-    # flags behave identically to python -m repro.experiments.
-    add_runner_arguments(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train_parser.add_argument(
         "--training-iterations",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="override the scenario's training schedule length",
@@ -87,13 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="overwrite an existing same-named model"
     )
     _add_models_dir(train_parser)
-    _add_runner_flags(train_parser)
+    add_runner_arguments(train_parser)
+    train_parser.set_defaults(run=_cmd_train)
 
     list_parser = commands.add_parser("list", help="list registered models")
     list_parser.add_argument(
         "--json", action="store_true", dest="as_json", help="emit JSON"
     )
     _add_models_dir(list_parser)
+    list_parser.set_defaults(run=_cmd_list)
 
     describe_parser = commands.add_parser(
         "describe", help="show one model's provenance, stats, and digest"
@@ -103,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="as_json", help="emit JSON"
     )
     _add_models_dir(describe_parser)
+    describe_parser.set_defaults(run=_cmd_describe)
 
     export_parser = commands.add_parser(
         "export", help="write one model's canonical artifact document to a file"
@@ -115,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination path ('-' for stdout, the default)",
     )
     _add_models_dir(export_parser)
+    export_parser.set_defaults(run=_cmd_export)
 
     eval_parser = commands.add_parser(
         "eval", help="evaluate a frozen model on a scenario (transfer evaluation)"
@@ -137,28 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the scenario's own set; 'cohmeleon' always evaluates the model)",
     )
     _add_models_dir(eval_parser)
-    _add_runner_flags(eval_parser)
+    add_runner_arguments(eval_parser)
+    eval_parser.set_defaults(run=_cmd_eval)
     return parser
-
-
-def _make_runner(args: argparse.Namespace) -> SweepRunner:
-    return SweepRunner(config=RunConfig.from_args(args))
-
-
-def _load_scenario_target(name: str):
-    if name.endswith((".toml", ".json")):
-        from repro.scenarios.loader import load_scenario_file
-
-        return load_scenario_file(name)
-    from repro.scenarios.registry import get_scenario
-
-    return get_scenario(name)
 
 
 def _cmd_train(args: argparse.Namespace, out: TextIO) -> int:
     from repro.models.train import train_artifact
+    from repro.scenarios.registry import load_scenario_target
 
-    scenario = _load_scenario_target(args.scenario)
+    scenario = load_scenario_target(args.scenario)
     name = args.name if args.name is not None else scenario.name
     registry = ModelRegistry(args.models_dir)
     # Fail fast: an illegal name, a refused overwrite or a registry
@@ -169,7 +151,7 @@ def _cmd_train(args: argparse.Namespace, out: TextIO) -> int:
         raise ModelError(
             f"model {name!r} already exists at {destination}; pass --force to overwrite"
         )
-    runner = _make_runner(args)
+    runner = SweepRunner.from_args(args)
     try:
         registry.root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -275,17 +257,18 @@ def _cmd_export(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
+    from repro.scenarios.registry import load_scenario_target
     from repro.scenarios.run import run_scenario
 
     artifact = ModelRegistry(args.models_dir).load(args.name)
     scenario_name = args.scenario if args.scenario is not None else artifact.scenario
-    scenario = _load_scenario_target(scenario_name)
+    scenario = load_scenario_target(scenario_name)
     policy_kinds: Optional[List[str]] = None
     if args.policies is not None:
         policy_kinds = [kind for kind in args.policies.split(",") if kind]
     elif "cohmeleon" not in scenario.policy_kinds:
         policy_kinds = list(scenario.policy_kinds) + ["cohmeleon"]
-    runner = _make_runner(args)
+    runner = SweepRunner.from_args(args)
     started = time.perf_counter()
     result = run_scenario(
         scenario,
@@ -310,21 +293,6 @@ def _cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "list": _cmd_list,
-    "describe": _cmd_describe,
-    "export": _cmd_export,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv: Optional[List[str]] = None, stream: Optional[TextIO] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    out = stream if stream is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args, out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_command(build_parser(), argv, stream)

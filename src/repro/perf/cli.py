@@ -12,10 +12,10 @@ See ``docs/performance.md`` for how these fit the performance contract.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO
 
+from repro.cli import run_command
 from repro.errors import ConfigurationError
 from repro.perf.compare import compare_reports, render_findings
 from repro.perf.report import (
@@ -78,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BENCHMARK",
         help="run only this benchmark (repeatable)",
     )
+    run.set_defaults(run=_cmd_run)
 
     compare = sub.add_parser("compare", help="diff two reports with a tolerance gate")
     compare.add_argument("old", type=Path, help="baseline report")
@@ -93,6 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the work/checksum equality gate (timing-only diff)",
     )
+    compare.set_defaults(run=_cmd_compare)
 
     profile = sub.add_parser("profile", help="profile one benchmark with cProfile")
     profile.add_argument("benchmark", type=_benchmark_name)
@@ -103,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tottime, cumulative or ncalls (default: %(default)s)",
     )
     profile.add_argument("--limit", type=int, default=25, help="rows to print")
+    profile.set_defaults(run=_cmd_profile)
     return parser
 
 
@@ -133,69 +136,64 @@ def _replaceable_report(
     return existing
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     from repro.perf.bench import BENCHMARK_NAMES, run_benchmarks
 
     scale = "quick" if args.quick else "default"
     existing = _replaceable_report(args.out, scale, args.only or BENCHMARK_NAMES)
+    # Fail before the benchmarks run, not after, if the report has no home.
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     before = load_report(args.before) if args.before else None
 
     def progress(name: str, result: BenchmarkResult) -> None:
         print(
             f"  {name:<16} {result.wall_s:8.3f}s  "
-            f"{result.work:>10} {result.unit} ({result.rate:,.1f}/s)"
+            f"{result.work:>10} {result.unit} ({result.rate:,.1f}/s)",
+            file=out,
         )
 
-    print(f"repro.perf run (scale={scale})")
+    print(f"repro.perf run (scale={scale})", file=out)
     results = run_benchmarks(names=args.only, quick=args.quick, progress=progress)
     report = make_report(results, scale=scale, before=before)
     if existing is not None and "slo" in existing:
         # The hand-maintained SLO gate rides along with the measurements.
         report["slo"] = existing["slo"]
     write_report(report, args.out)
-    print(f"wrote {args.out}")
+    print(f"wrote {args.out}", file=out)
     speedups = report.get("speedup_vs_before")
     if speedups:
         for name, ratio in sorted(speedups.items()):
-            print(f"  speedup vs before: {name:<16} {ratio:.2f}x")
+            print(f"  speedup vs before: {name:<16} {ratio:.2f}x", file=out)
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace, out: TextIO) -> int:
     old = load_report(args.old)
     new = load_report(args.new)
     findings = compare_reports(
         old, new, tolerance=args.tolerance, check_determinism=not args.no_determinism
     )
-    print(render_findings(findings))
+    print(render_findings(findings), file=out)
     failed = [finding for finding in findings if not finding.ok]
     if failed:
-        print(f"{len(failed)} benchmark(s) failed the gate")
+        print(f"{len(failed)} benchmark(s) failed the gate", file=out)
         return 1
-    print("all benchmarks within tolerance")
+    print("all benchmarks within tolerance", file=out)
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace, out: TextIO) -> int:
     from repro.perf.profiling import profile_benchmark
 
     print(
         profile_benchmark(
             args.benchmark, quick=args.quick, sort=args.sort, limit=args.limit
-        )
+        ),
+        file=out,
     )
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro.perf``."""
-    args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_profile(args)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    return run_command(_build_parser(), argv)

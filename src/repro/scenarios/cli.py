@@ -28,41 +28,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from repro.errors import ConfigurationError, ReproError
+from repro.cli import positive_int, run_command
+from repro.errors import ConfigurationError
 from repro.experiments.common import STANDARD_POLICY_KINDS
-from repro.experiments.sweep.config import (
-    RunConfig,
-    add_runner_arguments,
-    positive_int as _positive_int,
-)
+from repro.experiments.sweep.config import add_runner_arguments
 from repro.experiments.sweep.pool import SweepRunner
 from repro.experiments.sweep.shard import ShardIncompleteError
-from repro.scenarios.registry import all_scenarios, get_scenario
-from repro.scenarios.scenario import Scenario
+from repro.scenarios.registry import all_scenarios, load_scenario_target
 from repro.utils.tables import format_table
-
-
-def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the shared sweep-runner flags (``run`` and ``matrix``).
-
-    The flag set is single-sourced from
-    :func:`repro.experiments.sweep.config.add_runner_arguments`, so
-    ``--workers``/``--cache-dir``/``--manifest-dir``/``--resume``/
-    ``--shard``/``--jobs-per-lease`` behave exactly as they do in
-    ``python -m repro.experiments``.
-    """
-    add_runner_arguments(parser)
-
-
-def _runner_from_args(args: argparse.Namespace) -> tuple:
-    """Build the (runner, workers, cache) triple from the shared flags."""
-    config = RunConfig.from_args(args)
-    return SweepRunner(config=config), config.workers, config.cache
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument(
         "--category", default=None, help="only scenarios in this category"
     )
+    list_parser.set_defaults(run=_cmd_list)
 
     describe_parser = commands.add_parser(
         "describe", help="show one scenario's materialized configuration"
@@ -92,12 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     describe_parser.add_argument(
         "--json", action="store_true", dest="as_json", help="emit JSON"
     )
+    describe_parser.set_defaults(run=_cmd_describe)
 
     run_parser = commands.add_parser(
         "run", help="run a scenario's policy comparison through the sweep runner"
     )
     run_parser.add_argument("name", help="scenario name or scenario-file path")
-    _add_runner_arguments(run_parser)
+    add_runner_arguments(run_parser)
     run_parser.add_argument(
         "--seed", type=int, default=None, help="override the scenario's default seed"
     )
@@ -129,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="model registry directory used by --pretrained "
         "(default: $REPRO_MODELS_DIR or .repro-models)",
     )
+    run_parser.set_defaults(run=_cmd_run)
 
     generate_parser = commands.add_parser(
         "generate",
@@ -142,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate_parser.add_argument(
         "--count",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="override the spec's scenario count",
@@ -179,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the (spec digest, per-scenario digests) manifest as JSON",
     )
+    generate_parser.set_defaults(run=_cmd_generate)
 
     matrix_parser = commands.add_parser(
         "matrix",
@@ -217,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix_parser.add_argument(
         "--count",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         metavar="N",
         help="override the generation spec's scenario count",
@@ -234,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the matrix document as canonical JSON",
     )
-    _add_runner_arguments(matrix_parser)
+    add_runner_arguments(matrix_parser)
+    matrix_parser.set_defaults(run=_cmd_matrix)
 
     gallery_parser = commands.add_parser(
         "gallery", help="regenerate the README/docs scenario gallery"
@@ -250,16 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="repository root (default: autodetected from this file)",
     )
+    gallery_parser.set_defaults(run=_cmd_gallery)
     return parser
-
-
-def _load_target(name: str) -> Scenario:
-    """Resolve a CLI target: a registered name or a scenario-file path."""
-    if name.endswith((".toml", ".json")):
-        from repro.scenarios.loader import load_scenario_file
-
-        return load_scenario_file(name)
-    return get_scenario(name)
 
 
 def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
@@ -286,7 +260,7 @@ def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace, out: TextIO) -> int:
-    scenario = _load_target(args.name)
+    scenario = load_scenario_target(args.name)
     description = scenario.describe(seed=args.seed)
     if args.as_json:
         print(json.dumps(description, indent=2, sort_keys=True), file=out)
@@ -347,7 +321,7 @@ def _cmd_describe(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     from repro.scenarios.run import run_scenario
 
-    scenario = _load_target(args.name)
+    scenario = load_scenario_target(args.name)
     policy_kinds: Optional[List[str]] = None
     if args.policies is not None:
         if args.policies == "all":
@@ -359,7 +333,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         from repro.models.registry import resolve_pretrained
 
         pretrained = resolve_pretrained(args.pretrained, models_dir=args.models_dir)
-    runner, workers, cache = _runner_from_args(args)
+    runner = SweepRunner.from_args(args)
 
     started = time.perf_counter()
     try:
@@ -386,6 +360,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
     elapsed = time.perf_counter() - started
 
     print(result.report(), file=out)
+    cache = runner.config.cache
     cache_note = "disabled" if cache is None else str(cache.cache_dir)
     pretrained_note = (
         "" if pretrained is None else f" pretrained={pretrained.digest[:12]}"
@@ -394,7 +369,7 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         f"\n[scenario] name={scenario.name} jobs={len(result.evaluations)} "
         f"executed={result.executed} cache_hits={result.cache_hits} "
         f"resumed={result.resumed} "
-        f"workers={workers} workers_used={result.workers_used} "
+        f"workers={runner.config.workers} workers_used={result.workers_used} "
         f"cache={cache_note}{pretrained_note} elapsed={elapsed:.1f}s",
         file=out,
     )
@@ -459,16 +434,11 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     )
     if args.out is not None:
         out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for item in generated:
-                render = document_toml if args.format == "toml" else document_json
-                path = out_dir / f"{item.name}.{args.format}"
-                path.write_text(render(item.document), encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write generated scenarios under {out_dir}: {exc}"
-            ) from exc
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for item in generated:
+            render = document_toml if args.format == "toml" else document_json
+            path = out_dir / f"{item.name}.{args.format}"
+            path.write_text(render(item.document), encoding="utf-8")
         print(f"wrote {len(generated)} scenario files to {out_dir}", file=out)
     if args.digests is not None:
         manifest = {
@@ -479,15 +449,10 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
                 for item in generated
             ],
         }
-        try:
-            Path(args.digests).write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write the digest manifest to {args.digests}: {exc}"
-            ) from exc
+        Path(args.digests).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
     validated = " validated=yes" if args.validate else ""
     print(
         f"\n[generate] spec={spec_digest(spec)[:12]} count={len(generated)}"
@@ -504,7 +469,7 @@ def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
     from repro.scenarios.generate import generate_scenarios
 
     # Flag contradictions fail before any model/scenario loading starts.
-    runner, workers, cache = _runner_from_args(args)
+    runner = SweepRunner.from_args(args)
     if args.all_models:
         registry = ModelRegistry(args.models_dir)
         artifacts = registry.load_all()
@@ -522,7 +487,7 @@ def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
     else:
         raise ConfigurationError("matrix needs --models NAMES or --all-models")
 
-    scenarios = [_load_target(name) for name in (args.scenario or [])]
+    scenarios = [load_scenario_target(name) for name in (args.scenario or [])]
     if args.spec is not None:
         spec = _generation_spec(args)
         scenarios.extend(item.scenario() for item in generate_scenarios(spec))
@@ -545,18 +510,14 @@ def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
 
     print(report_transfer_matrix(matrix), file=out)
     if args.out is not None:
-        try:
-            Path(args.out).write_text(matrix.dumps(), encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot write the matrix document to {args.out}: {exc}"
-            ) from exc
+        Path(args.out).write_text(matrix.dumps(), encoding="utf-8")
         print(f"\nwrote matrix document to {args.out}", file=out)
+    cache = runner.config.cache
     cache_note = "disabled" if cache is None else str(cache.cache_dir)
     print(
         f"\n[matrix] models={len(artifacts)} scenarios={len(scenarios)} "
         f"cells={len(matrix.cells)} executed={matrix.executed} "
-        f"cache_hits={matrix.cache_hits} workers={workers} "
+        f"cache_hits={matrix.cache_hits} workers={runner.config.workers} "
         f"workers_used={matrix.workers_used} cache={cache_note} "
         f"elapsed={elapsed:.1f}s",
         file=out,
@@ -592,22 +553,6 @@ def _cmd_gallery(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-_COMMANDS = {
-    "list": _cmd_list,
-    "describe": _cmd_describe,
-    "run": _cmd_run,
-    "generate": _cmd_generate,
-    "matrix": _cmd_matrix,
-    "gallery": _cmd_gallery,
-}
-
-
 def main(argv: Optional[List[str]] = None, stream: Optional[TextIO] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    out = stream if stream is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args, out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_command(build_parser(), argv, stream)

@@ -138,3 +138,17 @@ def get_scenario(name: str) -> Scenario:
         raise ConfigurationError(
             f"unknown scenario {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
+
+
+def load_scenario_target(target: str) -> Scenario:
+    """Resolve a command-line target: a scenario-file path or a registered name.
+
+    A target ending in ``.toml`` or ``.json`` is loaded as a scenario file
+    (see :func:`repro.scenarios.loader.load_scenario_file`); any other
+    target is looked up with :func:`get_scenario`.
+    """
+    if target.endswith((".toml", ".json")):
+        from repro.scenarios.loader import load_scenario_file
+
+        return load_scenario_file(target)
+    return get_scenario(target)

@@ -27,7 +27,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from repro.errors import DocumentError, ReproError, ServingError
+from repro.cli import positive_int, run_command
+from repro.errors import DocumentError, ServingError
 from repro.store.io import read_document
 from repro.models.registry import DEFAULT_MODELS_DIR, ModelRegistry
 from repro.serving.http import ServingServer
@@ -37,13 +38,6 @@ from repro.serving.service import (
     DEFAULT_WHATIF_MAX_EVENTS,
     PolicyService,
 )
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,18 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--whatif-max-events",
-        type=_positive_int,
+        type=positive_int,
         default=DEFAULT_WHATIF_MAX_EVENTS,
         metavar="N",
         help="per-request event-budget cap of what-if simulations (default: %(default)s)",
     )
     serve_parser.add_argument(
         "--max-batch",
-        type=_positive_int,
+        type=positive_int,
         default=DEFAULT_MAX_BATCH,
         metavar="N",
         help="largest accepted decision batch (default: %(default)s)",
     )
+    serve_parser.set_defaults(run=_cmd_serve)
 
     load_parser = commands.add_parser(
         "loadtest", help="drive a running server with deterministic load"
@@ -105,16 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, required=True, help="server port (required)"
     )
     load_parser.add_argument(
-        "--clients", type=_positive_int, default=8, help="concurrent connections"
+        "--clients", type=positive_int, default=8, help="concurrent connections"
     )
     load_parser.add_argument(
         "--requests",
-        type=_positive_int,
+        type=positive_int,
         default=50,
         help="decision requests per client",
     )
     load_parser.add_argument(
-        "--batch", type=_positive_int, default=64, help="states per request"
+        "--batch", type=positive_int, default=64, help="states per request"
     )
     load_parser.add_argument(
         "--seed", type=int, default=17, help="root seed of the load streams"
@@ -138,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="quick",
         help="which SLO block of the baseline to enforce (default: %(default)s)",
     )
+    load_parser.set_defaults(run=_cmd_loadtest)
     return parser
 
 
@@ -248,18 +244,6 @@ def _cmd_loadtest(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-_COMMANDS = {
-    "serve": _cmd_serve,
-    "loadtest": _cmd_loadtest,
-}
-
-
 def main(argv: Optional[List[str]] = None, stream: Optional[TextIO] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    out = stream if stream is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args, out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_command(build_parser(), argv, stream)

@@ -211,16 +211,6 @@ class Allocator:
         self._allocations[name] = buffer
         return buffer
 
-    def free(self, buffer: Buffer) -> None:
-        """Release a buffer.
-
-        The allocator is a simple bump allocator per partition; freeing only
-        removes the bookkeeping entry (experiments allocate all buffers up
-        front and tear the whole SoC down afterwards, so fragmentation is
-        not a concern).
-        """
-        self._allocations.pop(buffer.name, None)
-
     # ------------------------------------------------------------------
     def _least_loaded(self) -> int:
         return min(range(len(self._partitions)), key=lambda i: self._partitions[i].used)

@@ -554,11 +554,6 @@ class SetAssociativeCache:
         """Bytes of valid data currently resident."""
         return self.num_valid * self.line_bytes
 
-    def occupancy_fraction(self) -> float:
-        """Fraction of the cache capacity currently valid."""
-        capacity_lines = self.num_sets * self.ways
-        return self.num_valid / capacity_lines if capacity_lines else 0.0
-
     def resident_lines_in_range(self, start: int, nbytes: int) -> int:
         """Number of lines of ``[start, start + nbytes)`` currently resident."""
         if nbytes <= 0 or not self.num_valid:

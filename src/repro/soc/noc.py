@@ -24,7 +24,7 @@ does the same for a single transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.resources import BandwidthResource
@@ -162,7 +162,3 @@ class MeshNoC:
         """Reset all link queues and counters."""
         for link in self._mem_links.values():
             link.reset()
-
-    def placements(self) -> List[Tuple[str, TileCoordinate]]:
-        """Return all tile placements (for floorplan reports)."""
-        return sorted(self._positions.items())

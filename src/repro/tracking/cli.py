@@ -23,10 +23,9 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import sys
 from typing import List, Optional, TextIO
 
-from repro.errors import ReproError
+from repro.cli import run_command
 from repro.models.registry import DEFAULT_MODELS_DIR
 from repro.tracking.http import TrackingServer
 from repro.tracking.service import DEFAULT_TOLERANCE, TrackingService
@@ -83,27 +82,32 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="bind port (default: an ephemeral port, printed at startup)",
     )
+    serve_parser.set_defaults(run=_cmd_serve)
 
     runs_parser = commands.add_parser(
         "runs", help="list sweep runs with live progress"
     )
     _add_dir_options(runs_parser)
+    runs_parser.set_defaults(run=_cmd_runs)
 
     run_parser = commands.add_parser(
         "run", help="inspect one sweep run's per-job records"
     )
     run_parser.add_argument("run_id", help="run id (manifest filename stem)")
     _add_dir_options(run_parser)
+    run_parser.set_defaults(run=_cmd_run)
 
     models_parser = commands.add_parser(
         "models", help="list registered models with provenance"
     )
     _add_dir_options(models_parser)
+    models_parser.set_defaults(run=_cmd_models)
 
     bench_parser = commands.add_parser(
         "bench", help="chart the BENCH trajectory with regression flags"
     )
     _add_dir_options(bench_parser)
+    bench_parser.set_defaults(run=_cmd_bench)
     return parser
 
 
@@ -155,21 +159,6 @@ def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
     return _print_document(_service(args).bench(), out)
 
 
-_COMMANDS = {
-    "serve": _cmd_serve,
-    "runs": _cmd_runs,
-    "run": _cmd_run,
-    "models": _cmd_models,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv: Optional[List[str]] = None, stream: Optional[TextIO] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    out = stream if stream is not None else sys.stdout
-    args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args, out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_command(build_parser(), argv, stream)

@@ -138,7 +138,8 @@ def run_phase(
     engine's default); exhausting it raises
     :class:`~repro.errors.SimulationError`, which is how bounded what-if
     evaluations (:mod:`repro.serving`) keep a single request from running
-    an unbounded simulation.
+    an unbounded simulation.  A phase cut by an error closes its pending
+    thread processes before the error propagates.
     """
     engine = soc.engine
     start_time = engine.now
@@ -156,10 +157,18 @@ def run_phase(
             name=f"{phase.name}/{thread.thread_id}",
             generator=_thread_process(soc, runtime, thread, buffer, sink),
         )
-    if max_events is None:
-        engine.run()
-    else:
-        engine.run(max_events=max_events)
+    try:
+        if max_events is None:
+            engine.run()
+        else:
+            engine.run(max_events=max_events)
+    except BaseException:
+        # The cut simulation never resumes: close its suspended threads so
+        # their frames let go of the runtime and the Soc, and reference
+        # counting frees the model once the error leaves the caller.
+        for process in engine.processes:
+            process.generator.close()
+        raise
 
     return PhaseResult(
         name=phase.name,

@@ -80,15 +80,6 @@ class TestDescriptorVolumes:
         descriptor = AcceleratorDescriptor(name="c", compute_cycles_per_byte=2.0)
         assert descriptor.compute_cycles(1000) == 2000.0
 
-    def test_dma_bursts_positive(self):
-        descriptor = AcceleratorDescriptor(name="b", burst_bytes=1024)
-        assert descriptor.dma_bursts(10) >= 1
-
-    def test_with_overrides(self):
-        descriptor = accelerator_by_name("FFT").with_overrides(reuse_factor=2.0)
-        assert descriptor.reuse_factor == 2.0
-        assert descriptor.name == "FFT"
-
 
 class TestLibrary:
     def test_twelve_accelerators(self):

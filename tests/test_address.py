@@ -75,9 +75,8 @@ class TestAllocator:
 
     def test_allocations_registry_and_free(self, allocator):
         buffer = allocator.allocate(64 * KB, name="mine")
-        assert "mine" in allocator.allocations
-        allocator.free(buffer)
-        assert "mine" not in allocator.allocations
+        unnamed = allocator.allocate(64 * KB)
+        assert allocator.allocations == {"mine": buffer, unnamed.name: unnamed}
 
 
 class TestBuffer:

@@ -4,57 +4,26 @@ The ``eval`` and ``train`` failure modes a user actually hits — an
 empty or missing registry, an unknown ``--scenario`` target, a tampered
 artifact failing its digest gate, a directory that cannot be created —
 and those of ``python -m repro.serving serve`` must exit with code 2 and a single
-``error: ...`` line on stderr, never a traceback.  Same subprocess
-pattern as ``tests/test_scenario_cli_errors.py``; the artifacts are
-built directly (seeded Q-table updates, no training sweep) so the whole
-module stays fast.
+``error: ...`` line on stderr, never a traceback (the contract of
+``tests/test_cli_contract.py``, checked by the same subprocess helpers); the
+artifacts are built directly (seeded Q-table updates, no training sweep) so
+the whole module stays fast.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+from functools import partial
 
 import pytest
 
+from cli_harness import assert_clean_error, run_cli
 from serving_harness import make_artifact
 
 from repro.models.cli import main as models_main
 from repro.models.registry import ModelRegistry
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_models_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m repro.models <args>`` as a user would."""
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    return subprocess.run(
-        [sys.executable, "-m", "repro.models", *args],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
-def assert_clean_error(completed: subprocess.CompletedProcess, *fragments: str):
-    """One ``error:`` line on stderr, no traceback, exit code 2."""
-    assert completed.returncode == 2, (
-        f"expected exit code 2, got {completed.returncode}\n"
-        f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
-    )
-    assert "Traceback" not in completed.stderr
-    assert "Traceback" not in completed.stdout
-    error_lines = [
-        line for line in completed.stderr.splitlines() if line.startswith("error: ")
-    ]
-    assert len(error_lines) == 1, f"stderr:\n{completed.stderr}"
-    for fragment in fragments:
-        assert fragment in error_lines[0], f"{fragment!r} not in {error_lines[0]!r}"
+run_models_cli = partial(run_cli, "repro.models")
 
 
 @pytest.fixture
@@ -169,45 +138,12 @@ class TestDescribeAndServeErrors:
         assert_clean_error(completed, "ghost")
 
     def test_serving_cli_serve_unknown_model(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.serving",
-                "serve",
-                "ghost",
-                "--models-dir",
-                str(tmp_path),
-            ],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        completed = run_cli("repro.serving", "serve", "ghost", "--models-dir", str(tmp_path))
         assert_clean_error(completed, "no model named", "ghost")
 
     def test_serving_cli_loadtest_unreachable_server(self):
-        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.serving",
-                "loadtest",
-                "--port",
-                "1",
-                "--clients",
-                "1",
-                "--requests",
-                "1",
-            ],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
+        completed = run_cli(
+            "repro.serving", "loadtest", "--port", "1", "--clients", "1", "--requests", "1"
         )
         # No server listens on port 1: a clean error, not a traceback.
         assert_clean_error(completed, "cannot reach the server")

@@ -315,6 +315,16 @@ class TestRunOverwriteGuard:
         assert str(report) in lines[0]
         assert report.read_bytes() == committed
 
+    def test_an_out_under_a_file_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(bench, "run_benchmarks", _must_not_run)
+        assert main(["run", "--quick", "--out", str(blocker / "x.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(blocker) in line
+
     @pytest.mark.parametrize(
         "committed, flags",
         [

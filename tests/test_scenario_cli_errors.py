@@ -2,54 +2,23 @@
 
 Every user mistake — an unknown scenario name, a malformed ``--pretrained``
 artifact, an invalid generation spec, a matrix with no models — must exit
-non-zero with a single clear ``error: ...`` line on stderr and **no
-traceback**.  These run as real subprocesses (the same way a user hits the
-errors), so they also pin down the exit codes shell scripts and CI lanes
-branch on.
+with code 2 and a single clear ``error: ...`` line on stderr and **no
+traceback** (the contract of ``tests/test_cli_contract.py``, checked by the
+same helpers).  These run as real subprocesses (the same way a user hits
+the errors), so they also pin down the exit codes shell scripts and CI
+lanes branch on.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from cli_harness import assert_clean_error, run_cli as run_entry_point
 
-
-def run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
-    """Run ``python -m repro.scenarios <args>`` as a user would."""
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    return subprocess.run(
-        [sys.executable, "-m", "repro.scenarios", *args],
-        cwd=cwd or REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
-def assert_clean_error(completed: subprocess.CompletedProcess, *fragments: str):
-    """One ``error:`` line on stderr, no traceback, non-zero exit."""
-    assert completed.returncode == 2, (
-        f"expected exit code 2, got {completed.returncode}\n"
-        f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
-    )
-    assert "Traceback" not in completed.stderr
-    assert "Traceback" not in completed.stdout
-    error_lines = [
-        line for line in completed.stderr.splitlines() if line.startswith("error: ")
-    ]
-    assert len(error_lines) == 1, f"stderr:\n{completed.stderr}"
-    for fragment in fragments:
-        assert fragment in error_lines[0], (
-            f"{fragment!r} not in {error_lines[0]!r}"
-        )
+run_cli = partial(run_entry_point, "repro.scenarios")
 
 
 @pytest.mark.slow
@@ -110,29 +79,16 @@ class TestMalformedPretrained:
 
     def test_pretrained_digest_tamper_is_detected(self, tmp_path):
         # Train a real artifact, then corrupt its digest-covered payload.
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(REPO_ROOT / "src"),
-            "REPRO_MODELS_DIR": str(tmp_path),
-        }
-        trained = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.models",
-                "train",
-                "quickstart",
-                "--name",
-                "tampered",
-                "--training-iterations",
-                "1",
-                "--no-cache",
-            ],
-            cwd=REPO_ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
+        trained = run_entry_point(
+            "repro.models",
+            "train",
+            "quickstart",
+            "--name",
+            "tampered",
+            "--training-iterations",
+            "1",
+            "--no-cache",
+            env={"REPRO_MODELS_DIR": str(tmp_path)},
         )
         assert trained.returncode == 0, trained.stderr
         artifact_path = tmp_path / "tampered.json"

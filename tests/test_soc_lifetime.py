@@ -3,6 +3,8 @@
 No simulator component refers back to its :class:`repro.soc.soc.Soc`, and
 the simulator keeps no process-wide memo, so reference counting frees the
 whole model (caches, engine, resources) as soon as an entry point returns.
+A run cut by its event budget closes its suspended thread processes, so it
+too leaves nothing behind when its error has been handled.
 Each case runs its entry point once to load what it imports lazily, then
 again with the cyclic garbage collector disabled: every ``Soc`` the call
 built must be dead on return, and a full collection must find no ``repro``
@@ -19,14 +21,17 @@ import pytest
 
 from repro.accelerators.library import accelerator_by_name
 from repro.core.policies import CohmeleonPolicy, FixedPolicy
-from repro.experiments.common import evaluate_one_policy, motivation_setup
+from repro.errors import SimulationError
+from repro.experiments.common import evaluate_one_policy, evaluate_policy, motivation_setup
 from repro.experiments.isolation import measure_isolated
+from repro.experiments.socs import figure9_setup
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.run import run_scenario
 from repro.soc.coherence import CoherenceMode
 from repro.soc.soc import Soc
 from repro.units import KB
 from repro.utils.rng import SeededRNG
+from repro.workloads.case_studies import soc6_application
 from repro.workloads.spec import ApplicationSpec, PhaseSpec, ThreadSpec
 
 
@@ -118,5 +123,32 @@ def test_measure_isolated(built_socs):
 def test_run_scenario(built_socs):
     def call():
         run_scenario(get_scenario("quickstart"), training_iterations=1)
+
+    assert_freed_on_return(call, built_socs)
+
+
+#: The message of a run that exhausts a 200-event budget.
+CUT = "event budget of 200 exhausted"
+
+
+def test_run_scenario_cut_by_its_event_budget(built_socs):
+    def call():
+        with pytest.raises(SimulationError, match=CUT):
+            run_scenario(
+                get_scenario("quickstart"), policy_kinds=["fixed-non-coh-dma"], max_events=200
+            )
+
+    assert_freed_on_return(call, built_socs)
+
+
+def test_evaluate_policy_cut_by_its_event_budget(built_socs):
+    def call():
+        with pytest.raises(SimulationError, match=CUT):
+            evaluate_policy(
+                figure9_setup("SoC6"),
+                FixedPolicy(CoherenceMode.NON_COH_DMA),
+                soc6_application(),
+                max_events=200,
+            )
 
     assert_freed_on_return(call, built_socs)

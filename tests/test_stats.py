@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.utils.stats import (
-    RunningStats,
-    geomean_ratio,
-    geometric_mean,
-    mean,
-    normalize,
-)
+from repro.utils.stats import geomean_ratio, geometric_mean, mean
 
 
 class TestMean:
@@ -47,50 +39,3 @@ class TestGeomeanRatio:
 
     def test_no_ratio_is_zero(self):
         assert geomean_ratio({"new": 5.0}, {"new": 0.0}) == 0.0
-
-
-class TestNormalize:
-    def test_normalizes_to_reference(self):
-        result = normalize({"a": 2.0, "b": 4.0}, "a")
-        assert result == {"a": 1.0, "b": 2.0}
-
-    def test_missing_reference_raises(self):
-        with pytest.raises(KeyError):
-            normalize({"a": 1.0}, "missing")
-
-    def test_zero_reference_returns_unchanged(self):
-        values = {"a": 0.0, "b": 3.0}
-        assert normalize(values, "a") == values
-
-
-class TestRunningStats:
-    def test_tracks_extrema_and_mean(self):
-        stats = RunningStats()
-        stats.extend([1.0, 5.0, 3.0])
-        assert stats.count == 3
-        assert stats.minimum == 1.0
-        assert stats.maximum == 5.0
-        assert stats.mean == pytest.approx(3.0)
-
-    def test_variance_and_stddev(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.variance == pytest.approx(4.0)
-        assert stats.stddev == pytest.approx(2.0)
-
-    def test_empty_stats(self):
-        stats = RunningStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-        assert math.isinf(stats.minimum)
-
-    def test_merge_combines_counts(self):
-        a = RunningStats()
-        a.extend([1.0, 2.0])
-        b = RunningStats()
-        b.extend([3.0, 4.0])
-        merged = a.merge(b)
-        assert merged.count == 4
-        assert merged.minimum == 1.0
-        assert merged.maximum == 4.0
-        assert merged.mean == pytest.approx(2.5)

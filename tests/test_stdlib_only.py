@@ -67,10 +67,17 @@ HTTP_STACK = (
     "email",
 )
 
+#: What the command-line boundary never loads: every ``repro`` module but
+#: itself and ``repro.errors``, so no entry point's start-up grows through it.
+REPRO_BUT_ERRORS = tuple(
+    child for child in REPRO_CHILDREN if child not in ("repro.cli", "repro.errors")
+)
+
 #: Per module: the modules importing it must not load (each with its
 #: submodules).
 IMPORT_LIMITS = {
     "repro": REPRO_CHILDREN,
+    "repro.cli": REPRO_BUT_ERRORS,
     "repro.serving.cli": SIMULATOR_AND_SWEEPS,
     "repro.tracking.cli": SIMULATOR_AND_SWEEPS,
     "repro.perf.cli": SIMULATOR_AND_SWEEPS,

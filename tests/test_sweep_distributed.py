@@ -686,9 +686,9 @@ class TestCli:
         from repro.experiments.sweep.cli import main
 
         assert main(["worker", "--coordinator", "ftp://nope"]) == 2
-        assert "invalid coordinator URL" in capsys.readouterr().out
+        assert "invalid coordinator URL" in capsys.readouterr().err
 
-    def test_coordinate_reports_a_figure_error(self, tmp_path):
+    def test_coordinate_reports_a_figure_error(self, tmp_path, capsys):
         from repro.experiments.sweep.cli import main
 
         blocker = tmp_path / "file"
@@ -696,8 +696,8 @@ class TestCli:
         stream = io.StringIO()
         argv = ["coordinate", "overhead", "--no-cache", "--manifest-dir"]
         assert main([*argv, str(blocker / "m")], stream=stream) == 2
-        last = stream.getvalue().splitlines()[-1]
-        assert last.startswith("error: cannot create the manifest directory")
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cannot create the manifest directory")
 
     def test_module_alias_dispatches(self):
         # python -m repro.experiments.sweep shares the experiments CLI.

@@ -325,21 +325,22 @@ class TestMergeCli:
         fused = json.loads(out_path.read_text())
         assert list(fused["results"]) == spec.keys()
 
-    def test_cli_merge_reports_validation_failure(self, tmp_path):
+    def test_cli_merge_reports_validation_failure(self, tmp_path, capsys):
         spec = _grid()
         args = self._shard_and_merge_args(tmp_path, spec)
         shard_files = sorted((tmp_path / "manifests").glob("*.shard2of3.*"))
         for path in shard_files:
             path.unlink()
         stream = io.StringIO()
-        assert cli_main(args, stream=stream) == 1
-        assert "missing shard" in stream.getvalue()
+        assert cli_main(args, stream=stream) == 2
+        assert "missing shard" in capsys.readouterr().err
 
-    def test_cli_merge_without_manifests_names_the_command_once(self, tmp_path):
+    def test_cli_merge_without_manifests_names_the_command_once(self, tmp_path, capsys):
         stream = io.StringIO()
         args = ["merge-shards", "--cache-dir", str(tmp_path / "cache")]
-        assert cli_main(args, stream=stream) == 1
-        assert stream.getvalue() == "merge-shards: no shard manifests found\n"
+        assert cli_main(args, stream=stream) == 2
+        assert stream.getvalue() == ""
+        assert capsys.readouterr().err == "error: no shard manifests found\n"
 
     @pytest.mark.parametrize(
         "option, target, expected",
@@ -353,21 +354,21 @@ class TestMergeCli:
              "write-check-directory"],
     )
     def test_cli_merge_bad_file_is_a_one_line_error(
-        self, tmp_path, option, target, expected
+        self, tmp_path, capsys, option, target, expected
     ):
         args = self._shard_and_merge_args(tmp_path, _grid())
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "directory").mkdir()
         stream = io.StringIO()
-        assert cli_main(args + [option, str(tmp_path / target)], stream=stream) == 1
-        last = stream.getvalue().splitlines()[-1]
-        assert last.startswith("merge-shards: ") and expected in last
+        assert cli_main(args + [option, str(tmp_path / target)], stream=stream) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and expected in line
         assert "Traceback" not in stream.getvalue()
 
-    def test_cli_shard_without_cache_is_an_error(self):
+    def test_cli_shard_without_cache_is_an_error(self, capsys):
         stream = io.StringIO()
         assert cli_main(["socs", "--no-cache", "--shard", "1/3"], stream=stream) == 2
-        assert "--no-cache" in stream.getvalue()
+        assert "--no-cache" in capsys.readouterr().err
 
     def test_cli_resume_without_cache_is_an_error(self):
         stream = io.StringIO()
@@ -375,7 +376,7 @@ class TestMergeCli:
 
 
 class TestFigureCliErrors:
-    """A directory the CLI cannot use is ``error: ...`` and exit 2."""
+    """A directory the CLI cannot use is ``error: ...`` on stderr and exit 2."""
 
     @pytest.mark.parametrize(
         "flags, expected",
@@ -385,15 +386,17 @@ class TestFigureCliErrors:
         ],
         ids=["cache-dir", "manifest-dir"],
     )
-    def test_directory_under_a_file(self, tmp_path, flags, expected):
+    def test_directory_under_a_file(self, tmp_path, capsys, flags, expected):
         blocker = tmp_path / "file"
         blocker.write_text("")
         stream = io.StringIO()
         argv = ["overhead", "--workers", "1", *flags, str(blocker / "sub")]
         assert cli_main(argv, stream=stream) == 2
-        assert stream.getvalue() == f"error: {expected} {blocker / 'sub'}: Not a directory\n"
+        assert stream.getvalue() == ""
+        error = capsys.readouterr().err
+        assert error == f"error: {expected} {blocker / 'sub'}: Not a directory\n"
 
-    def test_resume_over_a_manifest_without_header(self, tmp_path):
+    def test_resume_over_a_manifest_without_header(self, tmp_path, capsys):
         argv = ["overhead", "--workers", "1", "--cache-dir", str(tmp_path)]
         assert cli_main(argv, stream=io.StringIO()) == 0
         (manifest,) = (tmp_path / "manifests").iterdir()
@@ -401,9 +404,9 @@ class TestFigureCliErrors:
         manifest.write_text("{}\n" + "".join(lines[1:]))
         stream = io.StringIO()
         assert cli_main(argv + ["--resume"], stream=stream) == 2
-        text = stream.getvalue()
-        assert text.startswith("error: ") and "does not start with a header line" in text
-        assert "[sweep]" not in text
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "does not start with a header line" in error
+        assert "[sweep]" not in stream.getvalue()
 
 
 @pytest.mark.slow

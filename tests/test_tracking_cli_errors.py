@@ -1,51 +1,21 @@
 """Error-path contract of the ``python -m repro.tracking`` CLI.
 
-Same convention as ``tests/test_models_cli_errors.py``: every failure a
-user actually hits — an unconfigured or missing document directory, an
-unknown run id, a corrupt manifest — must exit with code 2 and a single
-``error: ...`` line on stderr, never a traceback.
+The contract of ``tests/test_cli_contract.py``, checked by the same
+helpers: every failure a user actually hits — an unconfigured or missing
+document directory, an unknown run id, a corrupt manifest — must exit with
+code 2 and a single ``error: ...`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+from cli_harness import assert_clean_error, run_cli
 
-
-def run_tracking_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m repro.tracking <args>`` as a user would."""
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    return subprocess.run(
-        [sys.executable, "-m", "repro.tracking", *args],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
-def assert_clean_error(completed: subprocess.CompletedProcess, *fragments: str):
-    """One ``error:`` line on stderr, no traceback, exit code 2."""
-    assert completed.returncode == 2, (
-        f"expected exit code 2, got {completed.returncode}\n"
-        f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
-    )
-    assert "Traceback" not in completed.stderr
-    assert "Traceback" not in completed.stdout
-    error_lines = [
-        line for line in completed.stderr.splitlines() if line.startswith("error: ")
-    ]
-    assert len(error_lines) == 1, f"stderr:\n{completed.stderr}"
-    for fragment in fragments:
-        assert fragment in error_lines[0], f"{fragment!r} not in {error_lines[0]!r}"
+run_tracking_cli = partial(run_cli, "repro.tracking")
 
 
 @pytest.mark.slow
