@@ -79,10 +79,6 @@ class RewardDseResult:
         """Only the learned-policy points."""
         return [point for point in self.points if point.is_cohmeleon]
 
-    def baseline_points(self) -> List[RewardPoint]:
-        """Only the baseline-policy points."""
-        return [point for point in self.points if not point.is_cohmeleon]
-
     def pareto_front(self) -> List[RewardPoint]:
         """Points not dominated in (exec, mem) by any other point."""
         front: List[RewardPoint] = []

@@ -35,6 +35,7 @@ from repro.serving.client import ServingClient
 from repro.serving.http import ServingServer
 from repro.serving.service import PolicyService
 from repro.sim.engine import Engine, ResumeAt
+from repro.sim.resources import ResourceStats
 from repro.soc.coherence import COHERENCE_MODES, CoherenceMode
 from repro.soc.config import soc_preset
 from repro.soc.noc import MeshNoC, TileCoordinate
@@ -112,6 +113,8 @@ def _bench_memory_access(quick: bool) -> Tuple[int, str]:
     """DMA transfers and flushes through every coherence mode."""
     repeats = 8 if quick else 24
     soc = Soc(soc_preset("SoC1").with_line_size(256))
+    for partition in soc.llc_partitions:
+        partition.port.stats = ResourceStats()
     buffer = soc.allocate_buffer(512 * KB, name="bench")
     soc.warm_buffer(buffer, cpu_index=0)
     acc_tile = soc.accelerator_tile_name(0)
@@ -140,7 +143,13 @@ def _bench_memory_access(quick: bool) -> Tuple[int, str]:
     checksum = _digest(
         {
             "now": round(now, 6),
-            "llc": [partition.stats() for partition in soc.llc_partitions],
+            "llc": [
+                {
+                    **partition.cache.stats.as_dict(),
+                    **{f"port_{k}": v for k, v in partition.port.stats.as_dict().items()},
+                }
+                for partition in soc.llc_partitions
+            ],
             "dram": [ctrl.counters.as_dict() for ctrl in soc.dram_controllers],
         }
     )
@@ -163,13 +172,15 @@ def _bench_noc_routing(quick: bool) -> Tuple[int, str]:
     mem_tiles = [(0, "t00"), (1, "t03"), (2, "t30"), (3, "t33")]
     for mem_tile, name in mem_tiles:
         noc.register_memory_tile(mem_tile, name)
+        noc.memory_link(mem_tile).stats = ResourceStats()
 
     finish = 0.0
     for index in range(transfers):
         src = sources[index % len(sources)]
         mem_tile, mem_name = mem_tiles[(index // 3) % len(mem_tiles)]
         finish = noc.transfer(float(index), src, mem_tile, mem_name, 64 + (index % 7) * 32)
-    return transfers, _digest({"finish": round(finish, 6), "links": noc.link_stats()})
+    links = {tile: noc.memory_link(tile).stats.as_dict() for tile, _name in mem_tiles}
+    return transfers, _digest({"finish": round(finish, 6), "links": links})
 
 
 # ----------------------------------------------------------------------

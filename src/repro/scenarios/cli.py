@@ -402,6 +402,11 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     )
 
     spec = _generation_spec(args)
+    # Fail before generating, not after, if an output has no home.
+    if args.out is not None:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    if args.digests is not None:
+        Path(args.digests).parent.mkdir(parents=True, exist_ok=True)
     generated = generate_scenarios(spec)
     rows: List[List[object]] = []
     for item in generated:
@@ -434,7 +439,6 @@ def _cmd_generate(args: argparse.Namespace, out: TextIO) -> int:
     )
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for item in generated:
             render = document_toml if args.format == "toml" else document_json
             path = out_dir / f"{item.name}.{args.format}"
@@ -468,8 +472,11 @@ def _cmd_matrix(args: argparse.Namespace, out: TextIO) -> int:
     from repro.models.registry import resolve_pretrained
     from repro.scenarios.generate import generate_scenarios
 
-    # Flag contradictions fail before any model/scenario loading starts.
+    # Flag contradictions, and an --out with no home, fail before any
+    # model/scenario loading starts.
     runner = SweepRunner.from_args(args)
+    if args.out is not None:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     if args.all_models:
         registry = ModelRegistry(args.models_dir)
         artifacts = registry.load_all()

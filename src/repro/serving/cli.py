@@ -194,6 +194,9 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace, out: TextIO) -> int:
+    if args.out is not None:
+        # Fail before driving the load, not after, if the report has no home.
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     try:
         report = run_load(
             args.host,
@@ -225,7 +228,6 @@ def _cmd_loadtest(args: argparse.Namespace, out: TextIO) -> int:
     )
     if args.out is not None:
         destination = Path(args.out)
-        destination.parent.mkdir(parents=True, exist_ok=True)
         destination.write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )

@@ -18,17 +18,24 @@ converts nothing: callers pass ints or floats, for which ``nbytes /
 bytes_per_cycle`` is the same float as ``float(nbytes) / bytes_per_cycle``.
 Only ``bytes_served`` takes ``int(nbytes)``, because the LLC port is
 charged a float byte count (``size * port_factor``).
+
+For the same reason a resource keeps only its queue.  Its usage counters
+are opt-in: ``stats`` is ``None`` until a caller that reads them attaches
+a :class:`ResourceStats`, and ``serve`` then adds to them without changing
+any completion time.  No simulation result reads them; the policies'
+rewards come from the DRAM controllers' counters and the accelerators'
+cycles.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.errors import SimulationError
 
 
 class ResourceStats:
-    """Usage counters for one shared resource."""
+    """Usage counters for one shared resource, attached by whoever reads them."""
 
     __slots__ = ("requests", "bytes_served", "busy_cycles", "queue_cycles")
 
@@ -71,6 +78,8 @@ class BandwidthResource:
         Sustained throughput of the resource.
     latency:
         Fixed cycles added to every request (pipeline / access latency).
+
+    ``stats`` is ``None`` unless a :class:`ResourceStats` is attached.
     """
 
     __slots__ = ("name", "bytes_per_cycle", "latency", "next_free", "stats")
@@ -84,7 +93,7 @@ class BandwidthResource:
         self.bytes_per_cycle = bytes_per_cycle
         self.latency = latency
         self.next_free = 0.0
-        self.stats = ResourceStats()
+        self.stats: Optional[ResourceStats] = None
 
     def serve(self, now: float, nbytes: float, extra_latency: float = 0.0) -> float:
         """Accept a request at time ``now`` and return its completion time.
@@ -103,18 +112,20 @@ class BandwidthResource:
         finish = start + latency + busy
         self.next_free = finish
         stats = self.stats
-        stats.requests += 1
-        stats.bytes_served += int(nbytes)
-        stats.busy_cycles += latency + busy
-        stats.queue_cycles += start - now
+        if stats is not None:
+            stats.requests += 1
+            stats.bytes_served += int(nbytes)
+            stats.busy_cycles += latency + busy
+            stats.queue_cycles += start - now
         if extra_latency > 0.0:
             return finish + extra_latency
         return finish
 
     def reset(self) -> None:
-        """Clear the queue state and counters (used between experiments)."""
+        """Clear the queue state; attached counters restart from zero."""
         self.next_free = 0.0
-        self.stats = ResourceStats()
+        if self.stats is not None:
+            self.stats = ResourceStats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

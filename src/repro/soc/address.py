@@ -134,13 +134,6 @@ class AddressMap:
         self.num_mem_tiles = num_mem_tiles
         self.partition_bytes = partition_bytes
 
-    def partition_of(self, address: int) -> int:
-        """Return the memory tile owning ``address``."""
-        tile = address // self.partition_bytes
-        if not 0 <= tile < self.num_mem_tiles:
-            raise AllocationError(f"address {address:#x} outside the address map")
-        return tile
-
     def partition_base(self, mem_tile: int) -> int:
         """Return the base physical address of ``mem_tile``'s partition."""
         if not 0 <= mem_tile < self.num_mem_tiles:

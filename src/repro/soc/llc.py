@@ -10,8 +10,6 @@ penalises the cached coherence modes under high parallelism (Figure 3).
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.sim.resources import BandwidthResource
 from repro.soc.cache import SetAssociativeCache
 
@@ -63,12 +61,6 @@ class LLCPartition:
     def occupancy_bytes(self) -> int:
         """Bytes of valid data currently resident."""
         return self.cache.occupancy_bytes()
-
-    def stats(self) -> Dict[str, float]:
-        """Combined cache and port counters."""
-        combined: Dict[str, float] = dict(self.cache.stats.as_dict())
-        combined.update({f"port_{k}": v for k, v in self.port.stats.as_dict().items()})
-        return combined
 
     def reset(self) -> None:
         """Clear contents, counters, and port queue."""

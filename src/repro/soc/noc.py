@@ -151,13 +151,6 @@ class MeshNoC:
             self._route_cache[key] = latency
         return link.serve(now, nbytes, latency)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def link_stats(self) -> Dict[int, Dict[str, float]]:
-        """Per-memory-tile link usage counters."""
-        return {tile: link.stats.as_dict() for tile, link in self._mem_links.items()}
-
     def reset(self) -> None:
         """Reset all link queues and counters."""
         for link in self._mem_links.values():

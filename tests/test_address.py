@@ -20,17 +20,8 @@ def allocator(address_map):
 
 
 class TestAddressMap:
-    def test_partition_of_addresses(self, address_map):
-        assert address_map.partition_of(0) == 0
-        assert address_map.partition_of(16 * MB) == 1
-        assert address_map.partition_of(63 * MB) == 3
-
     def test_partition_base(self, address_map):
         assert address_map.partition_base(2) == 32 * MB
-
-    def test_out_of_range_address(self, address_map):
-        with pytest.raises(AllocationError):
-            address_map.partition_of(64 * MB)
 
     def test_out_of_range_partition(self, address_map):
         with pytest.raises(AllocationError):

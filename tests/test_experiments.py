@@ -330,7 +330,7 @@ class TestRewardDse:
             seed=9,
         )
         assert len(result.cohmeleon_points()) == 2
-        assert len(result.baseline_points()) == 2
+        assert len(result.points) == 4
         assert result.pareto_front()
         text = report.report_reward_dse(result)
         assert "Figure 6" in text

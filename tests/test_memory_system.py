@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.resources import ResourceStats
 from repro.soc.dram import DramController
 from repro.soc.llc import LLCPartition
 from repro.soc.monitors import AcceleratorCounters, HardwareMonitors
@@ -80,17 +81,20 @@ class TestLLCPartition:
         assert invalidations == 32
 
     def test_occupancy_and_stats(self, llc):
+        llc.port.stats = ResourceStats()
         llc.warm(0, 8 * KB)
+        llc.serve_port(0.0, 64)
         assert llc.occupancy_bytes() == 8 * KB
-        stats = llc.stats()
-        assert "hits" in stats and "port_requests" in stats
+        assert llc.cache.stats.accesses == 0
+        assert llc.port.stats.requests == 1
 
     def test_reset(self, llc):
+        llc.port.stats = ResourceStats()
         llc.warm(0, 1 * KB)
         llc.serve_port(0.0, 64)
         llc.reset()
         assert llc.occupancy_bytes() == 0
-        assert llc.stats()["port_requests"] == 0
+        assert llc.port.stats.requests == 0
 
     def test_size_property(self, llc):
         assert llc.size_bytes == 64 * KB

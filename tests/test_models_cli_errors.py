@@ -3,7 +3,7 @@
 The ``eval`` and ``train`` failure modes a user actually hits — an
 empty or missing registry, an unknown ``--scenario`` target, a tampered
 artifact failing its digest gate, a directory that cannot be created —
-and those of ``python -m repro.serving serve`` must exit with code 2 and a single
+and those of ``python -m repro.serving serve|loadtest`` must exit with code 2 and a single
 ``error: ...`` line on stderr, never a traceback (the contract of
 ``tests/test_cli_contract.py``, checked by the same subprocess helpers); the
 artifacts are built directly (seeded Q-table updates, no training sweep) so
@@ -22,6 +22,7 @@ from serving_harness import make_artifact
 
 from repro.models.cli import main as models_main
 from repro.models.registry import ModelRegistry
+from repro.serving.cli import main as serving_main
 
 run_models_cli = partial(run_cli, "repro.models")
 
@@ -102,6 +103,23 @@ class TestTrainFailsFast:
         )
         assert code == 2
         assert "error: cannot write model 'quickstart'" in capsys.readouterr().err
+
+
+class TestLoadtestFailsFast:
+    """``serving loadtest`` checks its report destination before the load."""
+
+    def test_out_under_a_file_drives_no_load(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def run_load(*args, **kwargs):
+            raise AssertionError("the load ran before the report destination was checked")
+
+        monkeypatch.setattr("repro.serving.cli.run_load", run_load)
+        code = serving_main(["loadtest", "--port", "1", "--out", str(blocker / "x.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and str(blocker) in captured.err
 
 
 @pytest.mark.slow

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.sim.resources import ResourceStats
 from repro.soc.config import SoCConfig, soc_preset
 from repro.soc.noc import MeshNoC, TileCoordinate
 from repro.soc.tiles import TileType, _corner_positions, build_floorplan
@@ -105,11 +106,13 @@ class TestMeshNoC:
 
     def test_link_stats_and_reset(self):
         noc = self.make_noc()
+        link = noc.memory_link(0)
+        link.stats = ResourceStats()
         noc.transfer(0.0, "acc0", 0, "mem0", 64)
-        stats = noc.link_stats()
-        assert stats[0]["requests"] == 1
+        assert link.stats.requests == 1
         noc.reset()
-        assert noc.link_stats()[0]["requests"] == 0
+        assert link.stats.requests == 0
+        assert link.next_free == 0.0
 
     def test_invalid_mesh_dimensions(self):
         with pytest.raises(ConfigurationError):

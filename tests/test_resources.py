@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resources import BandwidthResource
+from repro.sim.resources import BandwidthResource, ResourceStats
 
 
 class TestServiceTime:
@@ -52,18 +52,33 @@ class TestServe:
 
     def test_stats_accumulate(self):
         resource = BandwidthResource("r", bytes_per_cycle=2.0, latency=1.0)
+        resource.stats = ResourceStats()
         resource.serve(0.0, 10)
         resource.serve(0.0, 10)
-        assert resource.stats.requests == 2
-        assert resource.stats.bytes_served == 20
-        assert resource.stats.queue_cycles > 0
+        assert resource.stats.as_dict() == {
+            "requests": 2,
+            "bytes_served": 20,
+            "busy_cycles": 12.0,
+            "queue_cycles": 6.0,
+        }
 
     def test_reset_clears_state(self):
         resource = BandwidthResource("r", bytes_per_cycle=1.0)
+        resource.stats = ResourceStats()
         resource.serve(0.0, 100)
         resource.reset()
         assert resource.next_free == 0.0
-        assert resource.stats.requests == 0
+        assert resource.stats.as_dict() == ResourceStats().as_dict()
+        resource.serve(0.0, 100)
+        assert resource.stats.requests == 1
+
+    def test_reset_keeps_a_detached_resource_detached(self):
+        resource = BandwidthResource("r", bytes_per_cycle=1.0)
+        resource.serve(0.0, 100)
+        assert resource.stats is None
+        resource.reset()
+        assert resource.next_free == 0.0
+        assert resource.stats is None
 
 
 class TestValidation:

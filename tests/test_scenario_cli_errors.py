@@ -6,7 +6,8 @@ with code 2 and a single clear ``error: ...`` line on stderr and **no
 traceback** (the contract of ``tests/test_cli_contract.py``, checked by the
 same helpers).  These run as real subprocesses (the same way a user hits
 the errors), so they also pin down the exit codes shell scripts and CI
-lanes branch on.
+lanes branch on.  Only ``TestOutputsFailFast`` runs in process, because it
+patches the command's work to raise.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from functools import partial
 import pytest
 
 from cli_harness import assert_clean_error, run_cli as run_entry_point
+from serving_harness import make_artifact
+
+from repro.models.registry import ModelRegistry
+from repro.scenarios.cli import main as scenarios_main
 
 run_cli = partial(run_entry_point, "repro.scenarios")
 
@@ -51,6 +56,44 @@ class TestUnusableDirectory:
             "cannot create the result cache directory",
             str(blocker / "x"),
         )
+
+
+class TestOutputsFailFast:
+    """An output under a regular file fails before any scenario is generated
+    or evaluated; the work is patched to raise, so reaching it fails."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        return path
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command worked before it checked its output")
+
+    @pytest.mark.parametrize("flag", ["--out", "--digests"])
+    def test_generate_output_under_a_file(self, blocker, flag, monkeypatch, capsys):
+        monkeypatch.setattr("repro.scenarios.generate.generate_scenarios", self.refuse)
+        code = scenarios_main(["generate", "--count", "2", flag, str(blocker / "x")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+    def test_matrix_out_under_a_file(self, blocker, tmp_path, monkeypatch, capsys):
+        registry = ModelRegistry(tmp_path / "models")
+        registry.root.mkdir()
+        registry.save(make_artifact(name="toy"))
+        monkeypatch.setattr("repro.models.transfer_matrix", self.refuse)
+        code = scenarios_main(
+            [
+                "matrix", "--models", "toy", "--models-dir", str(registry.root),
+                "--scenario", "quickstart", "--no-cache", "--out", str(blocker / "x.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and str(blocker) in captured.err
 
 
 @pytest.mark.slow

@@ -8,7 +8,9 @@ the accelerator and communication cycles, the transfer counters, and one
 digest over the statistics of every bandwidth resource, DRAM controller and
 cache.  The values are exact, so a faster transfer path must reproduce the
 arithmetic, not approximate it.  The 1.5 MB buffer spans two big pages on
-both memory tiles, so its windows also cross segment boundaries.  A last
+both memory tiles, so its windows also cross segment boundaries.  Resource
+counters are opt-in, so the cases attach them to every resource, and one
+test per mode checks that attaching them changes nothing else.  A last
 test checks that the NoC link and route latency a plan resolves for each
 memory tile charge exactly what :meth:`MeshNoC.transfer` charges.
 """
@@ -22,6 +24,7 @@ import pytest
 from repro.accelerators.library import accelerator_by_name
 from repro.core.policies import FixedPolicy
 from repro.runtime.api import EspRuntime
+from repro.sim.resources import ResourceStats
 from repro.soc.coherence import COHERENCE_MODES
 from repro.soc.config import soc_preset
 from repro.soc.soc import Soc
@@ -46,26 +49,45 @@ def case_id(name, in_place, footprint, mode) -> str:
     return f"{name}/{layout}/{footprint // KB}K/{mode.label}"
 
 
-def state_digest(soc: Soc) -> str:
-    """Digest of every resource's, DRAM controller's and cache's statistics."""
+def bandwidth_resources(soc: Soc) -> list:
+    """Every NoC memory link, LLC port, DRAM channel and accelerator link."""
     resources = [soc.noc.memory_link(tile) for tile in range(soc.config.num_mem_tiles)]
     resources += [partition.port for partition in soc.llc_partitions]
     resources += [controller.channel for controller in soc.dram_controllers]
-    resources += list(soc.accelerator_links.values())
+    return resources + list(soc.accelerator_links.values())
+
+
+def memory_counters(soc: Soc) -> dict:
+    """Every DRAM controller's and cache's statistics."""
     caches = [partition.cache for partition in soc.llc_partitions]
     caches += soc.cpu_l2_caches + list(soc.accelerator_private_caches.values())
+    return {
+        "dram": [controller.counters.as_dict() for controller in soc.dram_controllers],
+        "caches": {cache.name: cache.stats.as_dict() for cache in caches},
+    }
+
+
+def state_digest(soc: Soc) -> str:
+    """Digest of every resource's, DRAM controller's and cache's statistics."""
+    resources = bandwidth_resources(soc)
     return canonical_digest(
         {
             "resources": {resource.name: resource.stats.as_dict() for resource in resources},
-            "dram": [controller.counters.as_dict() for controller in soc.dram_controllers],
-            "caches": {cache.name: cache.stats.as_dict() for cache in caches},
+            **memory_counters(soc),
         }
     )[:16]
 
 
-def run_case(config, name, in_place, footprint, mode):
-    """One warm invocation; returns (result, descriptor, state digest)."""
+def run_case(config, name, in_place, footprint, mode, counters=True):
+    """One warm invocation; returns (result, descriptor, SoC).
+
+    With ``counters``, every bandwidth resource carries usage counters from
+    the start, for :func:`state_digest`.
+    """
     soc = Soc(config)
+    if counters:
+        for resource in bandwidth_resources(soc):
+            resource.stats = ResourceStats()
     runtime = EspRuntime(soc, FixedPolicy(mode))
     descriptor = dataclasses.replace(accelerator_by_name(name), in_place=in_place)
     runtime.bind_accelerator(descriptor)
@@ -78,7 +100,7 @@ def run_case(config, name, in_place, footprint, mode):
 
     soc.engine.spawn("case", proc())
     soc.engine.run()
-    return holder["result"], descriptor, state_digest(soc)
+    return holder["result"], descriptor, soc
 
 
 #: The transfer counters of :meth:`TransferStats.as_dict`, in pinned order.
@@ -536,7 +558,7 @@ GOLDEN = {
     "name, in_place, footprint, mode", CASES, ids=[case_id(*case) for case in CASES]
 )
 def test_transfer_path_matches_golden(tiny_config, name, in_place, footprint, mode):
-    result, descriptor, digest = run_case(tiny_config, name, in_place, footprint, mode)
+    result, descriptor, soc = run_case(tiny_config, name, in_place, footprint, mode)
     details = result.details
     # Every byte of the stream is moved exactly once: none skipped, none twice.
     assert details["bytes_moved"] == (
@@ -546,15 +568,40 @@ def test_transfer_path_matches_golden(tiny_config, name, in_place, footprint, mo
         result.accelerator_cycles,
         result.comm_cycles,
         tuple(details[key] for key in STATS_KEYS),
-        digest,
+        state_digest(soc),
     )
     assert observed == GOLDEN[case_id(name, in_place, footprint, mode)]
+
+
+@pytest.mark.parametrize("mode", COHERENCE_MODES, ids=lambda mode: mode.label)
+def test_resource_counters_are_passive(tiny_config, mode):
+    """Attached resource counters change no cycle, transfer, DRAM or cache counter."""
+    observed = []
+    for counters in (True, False):
+        result, _descriptor, soc = run_case(
+            tiny_config, "GEMM", False, 1536 * KB, mode, counters
+        )
+        stats = [resource.stats for resource in bandwidth_resources(soc)]
+        if counters:
+            # Requests queue in this case, so counters that moved a queue would show.
+            assert sum(resource_stats.queue_cycles for resource_stats in stats) > 0
+        else:
+            assert stats == [None] * len(stats)
+        observed.append(
+            (result.accelerator_cycles, result.comm_cycles, result.details, memory_counters(soc))
+        )
+    assert observed[0] == observed[1]
 
 
 @pytest.mark.parametrize("preset", ["SoC1", "SoC3"])
 def test_planned_noc_routes_charge_what_noc_transfer_charges(preset):
     """The (link, latency) a plan resolves per memory tile charges like MeshNoC.transfer."""
     planned, routed = Soc(soc_preset(preset)), Soc(soc_preset(preset))
+    links = {}
+    for soc in (planned, routed):
+        links[soc] = [soc.noc.memory_link(tile) for tile in range(soc.config.num_mem_tiles)]
+        for link in links[soc]:
+            link.stats = ResourceStats()
     for tile in planned.accelerator_tiles():
         paths = planned.datapath._memory_paths(tile.name)
         assert len(paths) == planned.config.num_mem_tiles
@@ -565,4 +612,6 @@ def test_planned_noc_routes_charge_what_noc_transfer_charges(preset):
                 assert link.serve(now, size, route) == routed.noc.transfer(
                     now, tile.name, mem_tile, name, size
                 )
-    assert planned.noc.link_stats() == routed.noc.link_stats()
+    assert [link.stats.as_dict() for link in links[planned]] == [
+        link.stats.as_dict() for link in links[routed]
+    ]
