@@ -31,9 +31,9 @@ The library is organised as follows:
 * :mod:`repro.net` — the one asyncio keep-alive HTTP/1.1 server (listener
   lifecycle, framing, request boundary) and the typed error-envelope
   machinery every in-repo server is built on;
-* :mod:`repro.store` — the unified read side for every digest-bearing
-  on-disk document (sweep manifests, cache entries, BENCH reports, model
-  artifacts, transfer matrices), one typed reader per format;
+* :mod:`repro.store` — the read side of the on-disk documents programs
+  read back (sweep manifests, BENCH reports), one typed reader per
+  format;
 * :mod:`repro.tracking` — the read-only experiment-tracking API over
   :mod:`repro.net` and :mod:`repro.store`: sweep runs with live progress,
   the model registry with provenance, and the BENCH trajectory with

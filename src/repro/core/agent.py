@@ -81,24 +81,6 @@ class QLearningAgent:
         self.updates += 1
         return self.qtable.update(state, mode, reward, self.alpha)
 
-    def update_batch(
-        self,
-        states: Sequence[CoherenceState],
-        modes: Sequence[CoherenceMode],
-        rewards: Sequence[float],
-    ) -> None:
-        """Apply a batch of rewards in arrival order at the current ``alpha``.
-
-        Equivalent to calling :meth:`update` once per element — the batch
-        path replays the same scalar recurrence in the same order, so the
-        resulting table is bit-identical.  A no-op while frozen, like
-        :meth:`update`.
-        """
-        if not self.learning_enabled or self.alpha <= 0.0:
-            return
-        self.updates += len(states)
-        self.qtable.update_batch(states, modes, rewards, [self.alpha] * len(states))
-
     # ------------------------------------------------------------------
     # Schedules
     # ------------------------------------------------------------------

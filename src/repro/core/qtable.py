@@ -18,13 +18,9 @@ The greedy mode of a row is its first maximal entry in the canonical mode
 order, the rule ``numpy.argmax`` follows; updates reject a non-finite
 reward, so no NaN can make that rule ambiguous.
 
-Batched operations (:meth:`QTable.update_batch`,
-:meth:`QTable.best_modes`) apply updates **in arrival order** with the
-exact scalar recurrence above.  Folding a batch into a closed-form
-cumulative product would change the floating-point rounding (summation
-order changes results), so the batched path deliberately replays the
-sequential recurrence; ``tests/test_qlearning.py`` pins the digest of a
-seeded 1k-step episode to keep it that way.
+Regrouping the recurrence (say, folding a run of updates into a
+cumulative product) would change the floating-point rounding, so
+``tests/test_qlearning.py`` pins the digest of a seeded 1k-step episode.
 
 The table uses no numpy.  It is read once per accelerator invocation and
 holds 972 values, so a dense array buys nothing, while importing numpy
@@ -102,42 +98,6 @@ class QTable:
         row[a] = new_value
         self._updates[s][a] += 1
         return new_value
-
-    def update_batch(
-        self,
-        states: Sequence["CoherenceState | int"],
-        modes: Sequence[CoherenceMode],
-        rewards: Sequence[float],
-        alphas: Sequence[float],
-    ) -> None:
-        """Apply a batch of TD updates **in arrival order**.
-
-        All four sequences must have equal length; element ``i`` is one
-        ``update(states[i], modes[i], rewards[i], alphas[i])``.  The batch
-        is replayed with the exact scalar recurrence of :meth:`update` —
-        never folded into a reordered summation, which would change the
-        floating-point results — so a batched training loop is
-        bit-identical to the per-step one.  The whole batch is checked
-        before any of it is applied, so a rejected batch leaves the table
-        unchanged.
-        """
-        if not len(states) == len(modes) == len(rewards) == len(alphas):
-            raise PolicyError(
-                "update_batch requires states, modes, rewards, and alphas "
-                "of equal length"
-            )
-        steps = []
-        for state, mode, reward, alpha in zip(states, modes, rewards, alphas):
-            self._check_alpha(alpha)
-            steps.append(
-                (self._state_index(state), mode_index(mode), self._finite_reward(reward), alpha)
-            )
-        values = self._values
-        updates = self._updates
-        for s, a, reward, alpha in steps:
-            row = values[s]
-            row[a] = (1.0 - alpha) * row[a] + alpha * reward
-            updates[s][a] += 1
 
     def best_mode(
         self,

@@ -43,11 +43,10 @@ class SweepError(ReproError):
 class DocumentError(ReproError):
     """An on-disk JSON/JSONL document is missing, corrupt, or tampered.
 
-    Raised by :mod:`repro.store` — the unified read side for every
-    digest-bearing document format the repository writes (sweep
-    manifests, result-cache entries, BENCH reports, model artifacts,
-    transfer matrices) — when a document cannot be read, parsed, or
-    verified against its recorded digest.
+    Raised by :mod:`repro.store` — the read side of the documents
+    programs read back (sweep manifests, BENCH reports) — when a
+    document cannot be read or parsed, and, through
+    :class:`ModelError`, by model artifacts failing their digest gate.
     """
 
 

@@ -27,17 +27,18 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
-from repro.errors import DocumentError, SweepError
+from repro.errors import SweepError
 from repro.experiments.sweep.shard import ShardSpec
 from repro.experiments.sweep.sweep import Job, SweepSpec
 from repro.store.io import canonical_digest
 from repro.store.readers import (
     MANIFEST_SUFFIX,
     MANIFEST_VERSION,
+    ManifestDocument,
+    ShardPair,
     grid_digest,
-    load_sweep_manifest,
 )
 
 
@@ -51,67 +52,39 @@ def payload_digest(payload: Dict[str, object]) -> str:
     return canonical_digest(payload)
 
 
-def _safe_name(name: str) -> str:
-    """Render a spec name as a filesystem-safe fragment."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
-
-
-class SweepManifest:
+class SweepManifest(ManifestDocument):
     """Progress record of one (possibly sharded) run of one sweep grid.
 
-    Instances are either *attached* (created by :meth:`open`, with a file
-    they append to as jobs complete) or *loaded* (created by :meth:`load`
-    for inspection and merging, read-only).
+    The parsed document — :meth:`load`, the grid digest, progress — is
+    :class:`~repro.store.readers.ManifestDocument`; this class adds the
+    writer: :meth:`open` creates (or, resuming, rewrites) the file at its
+    canonical location and :meth:`mark_done` appends one completion
+    record per job.
     """
 
-    def __init__(
-        self,
-        path: Path,
-        spec_name: str,
-        grid: List[Tuple[str, str]],
-        shard: Optional[ShardSpec],
-        completed: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.path = path
-        self.spec_name = spec_name
-        #: ``(key, fingerprint)`` pairs in grid order.
-        self.grid = grid
-        self.shard = shard
-        #: fingerprint -> payload digest for every recorded completion.
-        self.completed: Dict[str, str] = dict(completed or {})
-
-    # ------------------------------------------------------------------
-    @property
-    def grid_digest(self) -> str:
-        """Content digest of this manifest's grid."""
-        return grid_digest(self.grid)
-
-    @property
-    def keys_by_fingerprint(self) -> Dict[str, str]:
-        """Mapping of fingerprint -> job key for the whole grid."""
-        return {fingerprint: key for key, fingerprint in self.grid}
-
-    def pending(self) -> List[Tuple[str, str]]:
-        """Grid entries with no completion record yet, in grid order."""
-        return [
-            (key, fingerprint)
-            for key, fingerprint in self.grid
-            if fingerprint not in self.completed
-        ]
-
-    # ------------------------------------------------------------------
     @staticmethod
     def path_for(
         directory: Union[str, Path], spec: SweepSpec, shard: Optional[ShardSpec] = None
     ) -> Path:
-        """Canonical manifest location for ``spec`` (and shard) in ``directory``.
+        """Canonical manifest location for ``spec`` (and shard) in ``directory``."""
+        grid = [(job.key, job.fingerprint()) for job in spec.jobs]
+        return SweepManifest.grid_path(directory, spec.name, grid_digest(grid), shard)
 
-        The name embeds the grid digest, so two grids that share a spec
-        name (for example quick vs. ``--full`` scales) never collide, and
-        each shard of a grid gets its own file.
+    @staticmethod
+    def grid_path(
+        directory: Union[str, Path],
+        spec_name: str,
+        digest: str,
+        shard: Union[ShardSpec, ShardPair, None] = None,
+    ) -> Path:
+        """Canonical location of a manifest of the grid with ``digest``.
+
+        The name embeds the spec name (made filesystem-safe) and the grid
+        digest, so two grids that share a spec name (for example quick
+        vs. ``--full`` scales) never collide, and each shard of a grid
+        gets its own file.
         """
-        jobs = [(job.key, job.fingerprint()) for job in spec.jobs]
-        stem = f"{_safe_name(spec.name)}-{grid_digest(jobs)[:12]}"
+        stem = f"{re.sub(r'[^A-Za-z0-9._-]+', '_', spec_name)}-{digest[:12]}"
         if shard is not None:
             stem += f".shard{shard.index}of{shard.count}"
         return Path(directory) / f"{stem}{MANIFEST_SUFFIX}"
@@ -151,38 +124,11 @@ class SweepManifest:
                 for fingerprint, digest in previous.completed.items()
                 if fingerprint in valid
             }
-        manifest = cls(path, spec.name, grid, shard, completed)
+        pair = ShardPair(shard.index, shard.count) if shard is not None else None
+        manifest = cls(path, spec.name, grid, pair, completed=completed)
         manifest._rewrite()
         return manifest
 
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "SweepManifest":
-        """Parse a manifest file, tolerating a truncated final line.
-
-        The parse itself — including the crash-tolerance rule for a
-        truncated trailing record — lives in
-        :func:`repro.store.readers.load_sweep_manifest`, shared with
-        every other manifest consumer; this wrapper only rehydrates the
-        attachable class and maps failures to the sweep domain.
-        """
-        try:
-            document = load_sweep_manifest(path)
-        except DocumentError as exc:
-            raise SweepError(str(exc)) from exc
-        shard = (
-            ShardSpec(index=document.shard[0], count=document.shard[1])
-            if document.shard is not None
-            else None
-        )
-        return cls(
-            document.path,
-            document.spec_name,
-            document.grid,
-            shard,
-            document.completed,
-        )
-
-    # ------------------------------------------------------------------
     def mark_done(self, job: Job, payload: Dict[str, object]) -> str:
         """Record ``job`` as complete; append-and-flush, return the digest."""
         digest = payload_digest(payload)
@@ -200,8 +146,16 @@ class SweepManifest:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         return digest
 
-    def _header_document(self) -> Dict[str, object]:
-        return {
+    def _rewrite(self) -> None:
+        """Write the whole manifest (header + known completions) afresh."""
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SweepError(
+                f"cannot create the manifest directory {self.path.parent}: "
+                f"{exc.strerror or exc}"
+            ) from exc
+        header = {
             "kind": "header",
             "version": MANIFEST_VERSION,
             "spec": self.spec_name,
@@ -216,18 +170,8 @@ class SweepManifest:
                 for key, fingerprint in self.grid
             ],
         }
-
-    def _rewrite(self) -> None:
-        """Write the whole manifest (header + known completions) afresh."""
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SweepError(
-                f"cannot create the manifest directory {self.path.parent}: "
-                f"{exc.strerror or exc}"
-            ) from exc
         keys = self.keys_by_fingerprint
-        lines = [json.dumps(self._header_document(), sort_keys=True)]
+        lines = [json.dumps(header, sort_keys=True)]
         for key, fingerprint in self.grid:
             digest = self.completed.get(fingerprint)
             if digest is not None:
@@ -243,9 +187,3 @@ class SweepManifest:
                     )
                 )
         self.path.write_text("\n".join(lines) + "\n")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SweepManifest({self.spec_name!r}, {len(self.completed)}/"
-            f"{len(self.grid)} done, shard={self.shard})"
-        )

@@ -34,7 +34,6 @@ from repro.experiments.sweep.cache import ResultCache
 from repro.experiments.sweep.manifest import (
     MANIFEST_SUFFIX,
     SweepManifest,
-    _safe_name,
     payload_digest,
 )
 from repro.experiments.sweep.shard import ShardSpec
@@ -164,8 +163,9 @@ def merge_shards(
     """
     count = _validate_shard_set(manifests)
     ordered = sorted(manifests, key=lambda manifest: manifest.shard.index)  # type: ignore[union-attr]
-    grid = ordered[0].grid
-    keys = ordered[0].keys_by_fingerprint
+    first = ordered[0]
+    grid = first.grid
+    keys = first.keys_by_fingerprint
 
     merged: Dict[str, str] = {}
     problems: List[str] = []
@@ -208,20 +208,18 @@ def merge_shards(
         )
 
     report = MergeReport(
-        spec_name=ordered[0].spec_name,
-        grid_digest=ordered[0].grid_digest,
+        spec_name=first.spec_name,
+        grid_digest=first.grid_digest,
         shard_count=count,
         per_job=[(key, merged[fingerprint]) for key, fingerprint in grid],
     )
-    directory = Path(out_dir) if out_dir is not None else ordered[0].path.parent
-    # Rebuild the stem exactly as SweepManifest.path_for does, so the fused
-    # manifest is the one a subsequent --resume run of the same grid finds.
-    stem = f"{_safe_name(ordered[0].spec_name)}-{ordered[0].grid_digest[:12]}"
+    directory = Path(out_dir) if out_dir is not None else first.path.parent
+    # The whole grid's canonical location: the manifest a subsequent
+    # --resume run of the same grid finds.
     fused = SweepManifest(
-        path=directory / f"{stem}{MANIFEST_SUFFIX}",
-        spec_name=ordered[0].spec_name,
+        path=SweepManifest.grid_path(directory, first.spec_name, report.grid_digest),
+        spec_name=first.spec_name,
         grid=list(grid),
-        shard=None,
         completed=merged,
     )
     fused._rewrite()

@@ -21,7 +21,7 @@ fingerprint order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import SweepError
 from repro.experiments.sweep.sweep import Job
@@ -76,21 +76,6 @@ class ShardSpec:
         return int(fingerprint, 16) % self.count == self.index - 1
 
 
-def partition(jobs: Sequence[Job], count: int) -> List[List[Job]]:
-    """Split ``jobs`` into the ``count`` shards their fingerprints select.
-
-    Returns one list per shard index (1..count), preserving each shard's
-    grid order.  This is the same assignment every :class:`ShardSpec`
-    computes independently; it exists for tests and capacity planning.
-    """
-    if count < 1:
-        raise SweepError(f"shard count must be >= 1, got {count}")
-    shards: List[List[Job]] = [[] for _ in range(count)]
-    for job in jobs:
-        shards[int(job.fingerprint(), 16) % count].append(job)
-    return shards
-
-
 def lease_partition(jobs: Sequence[Job], jobs_per_lease: int) -> List[List[Job]]:
     """Group ``jobs`` into leases of exactly ``jobs_per_lease`` each.
 
@@ -110,9 +95,3 @@ def lease_partition(jobs: Sequence[Job], jobs_per_lease: int) -> List[List[Job]]
         for start in range(0, len(ordered), jobs_per_lease)
     ]
 
-
-def ownership(jobs: Sequence[Job], count: int) -> Dict[str, int]:
-    """Map each job fingerprint to its owning 1-based shard index."""
-    return {
-        job.fingerprint(): int(job.fingerprint(), 16) % count + 1 for job in jobs
-    }

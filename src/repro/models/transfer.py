@@ -37,8 +37,13 @@ from repro.scenarios.run import (
 )
 from repro.scenarios.scenario import Scenario
 from repro.store.io import canonical_digest
-from repro.store.readers import MATRIX_FORMAT, MATRIX_VERSION
 from repro.utils.stats import geomean_ratio
+
+#: Transfer-matrix format marker.
+MATRIX_FORMAT = "cohmeleon-transfer-matrix"
+
+#: Transfer-matrix layout version.
+MATRIX_VERSION = 1
 
 
 def _payload_digest(payload: Dict[str, object]) -> str:

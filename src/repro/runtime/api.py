@@ -76,7 +76,6 @@ class EspRuntime:
         self.bindings: Dict[str, AcceleratorBinding] = {}
         self._bindings_by_accelerator: Dict[str, List[AcceleratorBinding]] = {}
         self._busy_tiles: set = set()
-        self.results: List[InvocationResult] = []
 
     # ------------------------------------------------------------------
     # Accelerator binding
@@ -197,12 +196,8 @@ class EspRuntime:
             start_time=engine.now,
         )
         self.status.register(active)
-        self.soc.monitors.reset_accelerator(tile_name)
 
         record = yield from self.executor.execute(request, mode)
-        self.soc.monitors.add_accelerator_cycles(
-            tile_name, record.accelerator_cycles, record.comm_cycles
-        )
 
         # (4) Evaluate.
         ddr_after = self.soc.monitors.ddr_snapshot()
@@ -240,7 +235,6 @@ class EspRuntime:
             details=details,
         )
         self.policy.observe_result(request, mode, snapshot, result)
-        self.results.append(result)
         return result
 
     def invoke_by_name(
@@ -272,10 +266,6 @@ class EspRuntime:
     # ------------------------------------------------------------------
     def _footprint_per_tile(self, buffer: Buffer, footprint_bytes: int) -> Dict[int, int]:
         return buffer.footprint_within(footprint_bytes)
-
-    def clear_results(self) -> None:
-        """Drop the accumulated invocation results."""
-        self.results.clear()
 
     def total_ddr_accesses(self) -> int:
         """Total off-chip accesses measured since the SoC was last reset."""

@@ -44,7 +44,6 @@ same contract as the scenario-file loader.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
@@ -58,15 +57,11 @@ from repro.scenarios.loader import (
     _as_table,
     _check_unknown_keys,
     parse_bytes,
+    read_table_file,
 )
 from repro.scenarios.scenario import DEFAULT_SCENARIO_POLICIES
 from repro.store.io import canonical_digest
 from repro.units import KB
-
-try:  # Python >= 3.11
-    import tomllib
-except ImportError:  # pragma: no cover - exercised only on Python <= 3.10
-    tomllib = None  # type: ignore[assignment]
 
 #: Size-class labels the workload section accepts (loader-compatible).
 SIZE_CLASS_LABELS = ("S", "M", "L", "XL")
@@ -508,38 +503,7 @@ def generation_spec_from_mapping(document: Mapping[str, object]) -> GenerationSp
 def load_generation_spec(path: Union[str, Path]) -> GenerationSpec:
     """Load a :class:`GenerationSpec` from a ``.toml`` or ``.json`` file."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read generation spec {path}: {exc}") from exc
-    if path.suffix == ".toml":
-        if tomllib is None:
-            raise ConfigurationError(
-                f"generation spec {path}: TOML support requires Python >= 3.11; "
-                "use a .json spec file instead"
-            )
-        try:
-            document = tomllib.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
-            raise ConfigurationError(
-                f"generation spec {path}: invalid TOML: {exc}"
-            ) from exc
-    elif path.suffix == ".json":
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"generation spec {path}: invalid JSON: {exc}"
-            ) from exc
-    else:
-        raise ConfigurationError(
-            f"generation spec {path}: unsupported extension {path.suffix!r} "
-            "(expected .toml or .json)"
-        )
-    if not isinstance(document, Mapping):
-        raise ConfigurationError(
-            f"generation spec {path}: top level must be a table/object"
-        )
+    document = read_table_file(path, "generation spec", "spec file")
     try:
         return generation_spec_from_mapping(document)
     except ConfigurationError as exc:

@@ -569,37 +569,47 @@ def load_scenario_mapping(
     )
 
 
-def load_scenario_file(path: Union[str, Path]) -> Scenario:
-    """Load one scenario from a ``.toml`` or ``.json`` file."""
-    path = Path(path)
+def read_table_file(path: Path, what: str, json_alternative: str) -> Mapping:
+    """Parse a ``.toml`` or ``.json`` file whose top level is a table.
+
+    Every failure raises :class:`~repro.errors.ConfigurationError` naming
+    the document as ``what`` (``"scenario file"``, ``"generation spec"``);
+    ``json_alternative`` is what an interpreter without ``tomllib`` is
+    told to use instead.
+    """
     try:
         raw = path.read_bytes()
     except OSError as exc:
-        raise ConfigurationError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
     if path.suffix == ".toml":
         if tomllib is None:
             raise ConfigurationError(
-                f"scenario file {path}: TOML support requires Python >= 3.11; "
-                "use a .json scenario file instead"
+                f"{what} {path}: TOML support requires Python >= 3.11; "
+                f"use a .json {json_alternative} instead"
             )
         try:
             document = tomllib.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
-            raise ConfigurationError(f"scenario file {path}: invalid TOML: {exc}") from exc
+            raise ConfigurationError(f"{what} {path}: invalid TOML: {exc}") from exc
     elif path.suffix == ".json":
         try:
             document = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
-            raise ConfigurationError(f"scenario file {path}: invalid JSON: {exc}") from exc
+            raise ConfigurationError(f"{what} {path}: invalid JSON: {exc}") from exc
     else:
         raise ConfigurationError(
-            f"scenario file {path}: unsupported extension {path.suffix!r} "
+            f"{what} {path}: unsupported extension {path.suffix!r} "
             "(expected .toml or .json)"
         )
     if not isinstance(document, Mapping):
-        raise ConfigurationError(
-            f"scenario file {path}: top level must be a table/object"
-        )
+        raise ConfigurationError(f"{what} {path}: top level must be a table/object")
+    return document
+
+
+def load_scenario_file(path: Union[str, Path]) -> Scenario:
+    """Load one scenario from a ``.toml`` or ``.json`` file."""
+    path = Path(path)
+    document = read_table_file(path, "scenario file", "scenario file")
     try:
         return load_scenario_mapping(document, source=str(path))
     except ConfigurationError as exc:

@@ -194,9 +194,17 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace, out: TextIO) -> int:
+    # Fail before driving the load, not after, if the report has no home
+    # or the SLO cannot be read.
     if args.out is not None:
-        # Fail before driving the load, not after, if the report has no home.
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    slo = None
+    if args.slo is not None:
+        try:
+            baseline = read_document(Path(args.slo))
+        except DocumentError as exc:
+            raise ServingError(f"cannot read SLO baseline {args.slo}: {exc}") from exc
+        slo = slo_for_scale(baseline, args.scale)
     try:
         report = run_load(
             args.host,
@@ -232,12 +240,8 @@ def _cmd_loadtest(args: argparse.Namespace, out: TextIO) -> int:
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         print(f"[serving] report written to {destination}", file=out)
-    if args.slo is not None:
-        try:
-            baseline = read_document(Path(args.slo))
-        except DocumentError as exc:
-            raise ServingError(f"cannot read SLO baseline {args.slo}: {exc}") from exc
-        violations = check_slo(report, slo_for_scale(baseline, args.scale))
+    if slo is not None:
+        violations = check_slo(report, slo)
         if violations:
             for violation in violations:
                 print(f"[serving] SLO VIOLATION: {violation}", file=out)

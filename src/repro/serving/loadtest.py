@@ -177,9 +177,7 @@ def check_slo(report: LoadReport, slo: Dict[str, object]) -> List[str]:
     ceilings, ``*_min`` keys are floors.  Unknown keys are rejected so a
     typo in a committed SLO can never silently pass.
     """
-    unknown = set(slo) - set(SLO_KEYS)
-    if unknown:
-        raise ServingError(f"unknown SLO keys: {sorted(unknown)}")
+    _check_slo_keys(slo)
     violations: List[str] = []
     p99_max = slo.get("p99_ms_max")
     if p99_max is not None and report.latency_ms["p99"] > float(p99_max):
@@ -208,9 +206,19 @@ def check_slo(report: LoadReport, slo: Dict[str, object]) -> List[str]:
     return violations
 
 
+def _check_slo_keys(slo: Dict[str, object]) -> None:
+    unknown = set(slo) - set(SLO_KEYS)
+    if unknown:
+        raise ServingError(f"unknown SLO keys: {sorted(unknown)}")
+
+
 def slo_for_scale(baseline: Dict[str, object], scale: str) -> Dict[str, object]:
-    """Extract the ``scale`` SLO block from a serving benchmark baseline."""
-    slo = baseline.get("slo")
+    """Extract the ``scale`` SLO block from a serving benchmark baseline.
+
+    A block with a key outside :data:`SLO_KEYS` is rejected here, so a
+    typo fails before any load is driven.
+    """
+    slo = baseline.get("slo") if isinstance(baseline, dict) else None
     if not isinstance(slo, dict) or scale not in slo:
         raise ServingError(
             f"baseline has no SLO block for scale {scale!r} "
@@ -219,4 +227,5 @@ def slo_for_scale(baseline: Dict[str, object], scale: str) -> Dict[str, object]:
     block = slo[scale]
     if not isinstance(block, dict):
         raise ServingError(f"SLO block for scale {scale!r} must be a mapping")
+    _check_slo_keys(block)
     return block

@@ -88,10 +88,6 @@ class DramController:
         """Total off-chip accesses observed by this controller."""
         return self.counters.total
 
-    def snapshot(self) -> DramCounters:
-        """Return a copy of the counters (monitors read these)."""
-        return DramCounters(reads=self.counters.reads, writes=self.counters.writes)
-
     def reset(self) -> None:
         """Clear counters and the channel queue."""
         self.counters = DramCounters()

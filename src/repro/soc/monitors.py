@@ -1,18 +1,13 @@
 """Hardware monitoring system (paper Section 4.3, "Evaluate").
 
-The paper adds a lightweight set of memory-mapped counters to every tile:
-
-* per-memory-tile counters of off-chip (DRAM) accesses;
-* per-accelerator-tile counters of total execution cycles and of the cycles
-  spent communicating with memory (issuing a request or awaiting a
-  response).
-
-Software reads the DRAM counters before and after each accelerator
-invocation to compute the delta, and reads the accelerator counters (which
-are reset when the accelerator starts) at the end of the invocation.  This
-module models those registers; the attribution of shared DRAM counters to
-individual accelerators is performed by :mod:`repro.runtime.attribution`,
-exactly as the paper describes.
+The paper adds a lightweight set of memory-mapped counters to every tile;
+the ones this model reads are the per-memory-tile counters of off-chip
+(DRAM) accesses, which the DRAM controllers keep.  Software reads them
+before and after each accelerator invocation to compute the delta; the
+attribution of that shared delta to individual accelerators is performed
+by :mod:`repro.runtime.attribution`, exactly as the paper describes.  An
+invocation's cycles come from the executor's own record, not from a
+counter.
 """
 
 from __future__ import annotations
@@ -20,29 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.soc.dram import DramController
-
-
-class AcceleratorCounters:
-    """Cycle counters of one accelerator tile for one invocation."""
-
-    __slots__ = ("total_cycles", "comm_cycles")
-
-    def __init__(self, total_cycles: float = 0.0, comm_cycles: float = 0.0) -> None:
-        self.total_cycles = total_cycles
-        self.comm_cycles = comm_cycles
-
-    @property
-    def comm_ratio(self) -> float:
-        """Fraction of execution cycles spent communicating with memory."""
-        if self.total_cycles <= 0:
-            return 0.0
-        return min(self.comm_cycles / self.total_cycles, 1.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AcceleratorCounters(total_cycles={self.total_cycles}, "
-            f"comm_cycles={self.comm_cycles})"
-        )
 
 
 class DdrSnapshot:
@@ -75,15 +47,11 @@ class DdrSnapshot:
 
 
 class HardwareMonitors:
-    """Access point for all hardware counters of one SoC."""
+    """Software's view of one SoC's DRAM access counters."""
 
     def __init__(self, dram_controllers: List[DramController]) -> None:
         self._dram_controllers = list(dram_controllers)
-        self._accelerator_counters: Dict[str, AcceleratorCounters] = {}
 
-    # ------------------------------------------------------------------
-    # DRAM access counters
-    # ------------------------------------------------------------------
     def ddr_snapshot(self) -> DdrSnapshot:
         """Read every DRAM controller's total access counter."""
         return DdrSnapshot(
@@ -96,29 +64,3 @@ class HardwareMonitors:
     def total_ddr_accesses(self) -> int:
         """Total off-chip accesses since the SoC was built (or reset)."""
         return sum(controller.total_accesses for controller in self._dram_controllers)
-
-    # ------------------------------------------------------------------
-    # Accelerator cycle counters
-    # ------------------------------------------------------------------
-    def reset_accelerator(self, tile_name: str) -> None:
-        """Reset the cycle counters of one accelerator tile."""
-        self._accelerator_counters[tile_name] = AcceleratorCounters()
-
-    def add_accelerator_cycles(
-        self, tile_name: str, total_cycles: float, comm_cycles: float
-    ) -> None:
-        """Accumulate cycles into an accelerator tile's counters."""
-        counters = self._accelerator_counters.setdefault(tile_name, AcceleratorCounters())
-        counters.total_cycles += total_cycles
-        counters.comm_cycles += comm_cycles
-
-    def read_accelerator(self, tile_name: str) -> AcceleratorCounters:
-        """Read the cycle counters of one accelerator tile."""
-        return self._accelerator_counters.get(tile_name, AcceleratorCounters())
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Clear every counter (DRAM counters are owned by the controllers)."""
-        self._accelerator_counters.clear()
-        for controller in self._dram_controllers:
-            controller.reset()

@@ -204,7 +204,6 @@ class Soc:
         for link in self.accelerator_links.values():
             link.reset()
         self.noc.reset()
-        self.monitors.reset()
         self.engine = Engine()
 
     def describe(self) -> Dict[str, object]:

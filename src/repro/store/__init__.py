@@ -1,22 +1,20 @@
-"""Unified read side for the repository's on-disk document formats.
+"""Read side for the repository's on-disk document formats.
 
-The repository writes five digest-bearing JSON formats — JSONL sweep
-manifests, result-cache entries, ``BENCH_*.json`` perf reports,
-trained-policy artifacts, and transfer matrices.  Each keeps its writer
-with its subsystem; this package owns the *read side* once:
+Every writer stays with its subsystem; this package owns the *read
+side* of the documents that programs read back:
 
 * :mod:`repro.store.io` — canonical JSON text and digests, raw-file
   SHA-256, whole-document reads, and the JSONL crash-tolerance rule;
-* :mod:`repro.store.readers` — one typed reader per format, each
-  validating structure and digests and raising
-  :class:`~repro.errors.DocumentError` (or a subclass) on anything
-  missing, corrupt, or tampered.
+* :mod:`repro.store.readers` — one typed reader per format (JSONL sweep
+  manifests and ``BENCH_*.json`` perf reports), each validating
+  structure and raising :class:`~repro.errors.DocumentError` on anything
+  missing or corrupt.
 
 Built for every consumer that reads documents it did not just write:
-``merge-shards`` fusing shard manifests, the CLIs' ``--check`` /
-``--slo`` baselines, and the :mod:`repro.tracking` API, which serves
-these documents over HTTP with digests clients can verify against the
-files on disk.
+``--resume`` and ``merge-shards`` reading shard manifests, the CLIs'
+``--check`` / ``--slo`` baselines, and the :mod:`repro.tracking` API,
+which serves these documents over HTTP with digests clients can verify
+against the files on disk.
 """
 
 from repro.store.io import (
@@ -25,31 +23,20 @@ from repro.store.io import (
     decode_jsonl_line,
     document_sha256,
     read_document,
-    read_jsonl_records,
 )
 from repro.store.readers import (
     BENCH_SCHEMA,
-    CacheEntry,
     MANIFEST_SUFFIX,
     MANIFEST_VERSION,
-    MATRIX_FORMAT,
-    MATRIX_VERSION,
     ManifestDocument,
     grid_digest,
     load_bench_report,
-    load_cache_entry,
-    load_model_artifact,
-    load_sweep_manifest,
-    load_transfer_matrix,
 )
 
 __all__ = [
     "BENCH_SCHEMA",
-    "CacheEntry",
     "MANIFEST_SUFFIX",
     "MANIFEST_VERSION",
-    "MATRIX_FORMAT",
-    "MATRIX_VERSION",
     "ManifestDocument",
     "canonical_digest",
     "canonical_text",
@@ -57,10 +44,5 @@ __all__ = [
     "document_sha256",
     "grid_digest",
     "load_bench_report",
-    "load_cache_entry",
-    "load_model_artifact",
-    "load_sweep_manifest",
-    "load_transfer_matrix",
     "read_document",
-    "read_jsonl_records",
 ]

@@ -11,11 +11,11 @@ three primitives, which therefore live here exactly once:
   artifacts, and matrix cells), and :func:`document_sha256` is the
   SHA-256 of a file's *raw bytes* (the identity the tracking API reports
   so clients can verify a served document against the file on disk);
-* **safe reads** — :func:`read_document` reads one whole JSON document
-  and :func:`read_jsonl_records` reads a JSON-lines file under the
-  crash-tolerance rule (a blank or truncated line decodes to ``None``
-  instead of failing the whole file), both mapping every failure to
-  :class:`~repro.errors.DocumentError`.
+* **safe reads** — :func:`read_document` reads one whole JSON document,
+  mapping every failure to :class:`~repro.errors.DocumentError`, and
+  :func:`decode_jsonl_line` is the JSON-lines crash-tolerance rule (a
+  blank or truncated line decodes to ``None`` instead of failing the
+  whole file).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import DocumentError
 from repro.utils.fileio import read_json_document
@@ -106,29 +106,10 @@ def decode_jsonl_line(line: str) -> Optional[object]:
         return None
 
 
-def read_jsonl_records(path: Union[str, Path]) -> List[Optional[object]]:
-    """Read a JSON-lines file under the crash-tolerance rule.
-
-    Returns one entry per physical line, in order — the decoded object,
-    or ``None`` where the line was blank or truncated (see
-    :func:`decode_jsonl_line`).  Positions are preserved so callers can
-    apply structural rules ("the first line is the header") exactly as
-    they would on the raw file.  An unreadable file raises
-    :class:`~repro.errors.DocumentError`.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DocumentError(f"cannot read document {path}: {exc}") from exc
-    return [decode_jsonl_line(line) for line in lines]
-
-
 __all__ = [
     "canonical_digest",
     "canonical_text",
     "decode_jsonl_line",
     "document_sha256",
     "read_document",
-    "read_jsonl_records",
 ]

@@ -22,12 +22,7 @@ from typing import Dict, List, Optional, Union
 from repro.errors import DocumentError, ModelError, TrackingError
 from repro.perf.compare import compare_reports
 from repro.store.io import document_sha256
-from repro.store.readers import (
-    MANIFEST_SUFFIX,
-    ManifestDocument,
-    load_bench_report,
-    load_sweep_manifest,
-)
+from repro.store.readers import MANIFEST_SUFFIX, ManifestDocument, load_bench_report
 from repro.tracking.protocol import TRACKING_PROTOCOL_VERSION, TrackingRequestError
 
 #: Allowed rate regression before a trajectory point is flagged (matches
@@ -110,7 +105,7 @@ class TrackingService:
                 "document_sha256": document_sha256(path),
             }
             try:
-                document = load_sweep_manifest(path)
+                document = ManifestDocument.load(path)
             except DocumentError as exc:
                 entry["error"] = str(exc)
             else:
@@ -130,7 +125,7 @@ class TrackingService:
         path = directory / f"{run_id}{MANIFEST_SUFFIX}"
         if not path.is_file():
             raise TrackingRequestError("not-found", f"no run {run_id!r}")
-        document = load_sweep_manifest(path)
+        document = ManifestDocument.load(path)
         detail: Dict[str, object] = {
             "protocol": TRACKING_PROTOCOL_VERSION,
             "id": run_id,

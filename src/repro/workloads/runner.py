@@ -182,22 +182,19 @@ def run_application(
     soc: Soc,
     runtime: EspRuntime,
     application: ApplicationSpec,
-    reset_soc: bool = True,
     max_events: Optional[int] = None,
 ) -> ApplicationResult:
     """Run every phase of ``application`` and collect per-phase results.
 
-    With ``reset_soc`` (the default) the SoC's caches, counters, queues and
-    data allocations are cleared first, so repeated runs start from the same
-    cold state; the coherence policy's learned state (e.g. Cohmeleon's
-    Q-table) is *not* touched, which is what online training across
-    repeated application runs requires.  ``max_events`` bounds each phase's
-    event budget (see :func:`run_phase`).
+    The SoC's caches, counters, queues and data allocations are cleared
+    first, so repeated runs start from the same cold state; the coherence
+    policy's learned state (e.g. Cohmeleon's Q-table) is *not* touched,
+    which is what online training across repeated application runs
+    requires.  ``max_events`` bounds each phase's event budget (see
+    :func:`run_phase`).
     """
-    if reset_soc:
-        soc.reset_state(clear_allocations=True)
-        runtime.status.reset()
-        runtime.clear_results()
+    soc.reset_state(clear_allocations=True)
+    runtime.status.reset()
 
     result = ApplicationResult(
         application_name=application.name,

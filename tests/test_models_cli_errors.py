@@ -106,7 +106,7 @@ class TestTrainFailsFast:
 
 
 class TestLoadtestFailsFast:
-    """``serving loadtest`` checks its report destination before the load."""
+    """``serving loadtest`` checks its report destination and SLO before the load."""
 
     def test_out_under_a_file_drives_no_load(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "file"
@@ -120,6 +120,31 @@ class TestLoadtestFailsFast:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+    @pytest.mark.parametrize(
+        "baseline, expected",
+        [
+            (None, "cannot read SLO baseline"),
+            ({"slo": {"default": {"p99_ms_max": 5.0}}}, "no SLO block for scale 'quick'"),
+            ({"slo": {"quick": {"p99_typo": 5.0}}}, "unknown SLO keys: ['p99_typo']"),
+        ],
+        ids=["missing-file", "no-scale-block", "unknown-key"],
+    )
+    def test_unusable_slo_drives_no_load(
+        self, tmp_path, monkeypatch, capsys, baseline, expected
+    ):
+        def run_load(*args, **kwargs):
+            raise AssertionError("the load ran before the SLO baseline was checked")
+
+        monkeypatch.setattr("repro.serving.cli.run_load", run_load)
+        path = tmp_path / "BENCH_serving.json"
+        if baseline is not None:
+            path.write_text(json.dumps(baseline))
+        code = serving_main(["loadtest", "--port", "1", "--slo", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and expected in line
 
 
 @pytest.mark.slow

@@ -205,12 +205,10 @@ class TestQTable:
     def test_update_sequence_digest_is_pinned(self):
         """The exact float trajectory of a seeded 1k-step episode is frozen.
 
-        Guards the float-accumulation hazard in the batched update path:
-        the update rule is a sequential recurrence, so any reordering or
-        algebraic regrouping (e.g. folding a batch into a cumulative
-        product) changes IEEE-754 rounding and moves these digests;
-        ``update_batch`` must land on the identical table as the per-step
-        replay.
+        Guards the float-accumulation hazard of the update rule: it is a
+        sequential recurrence, so any reordering or algebraic regrouping
+        (e.g. folding a run of updates into a cumulative product) changes
+        IEEE-754 rounding and moves these digests.
         """
 
         def episode_args():
@@ -234,38 +232,6 @@ class TestQTable:
         assert sequence_digest == "f18e3e629c834026"
         assert table_digest == "02d1125c3a155644"
 
-        batched = QTable()
-        args = list(episode_args())
-        batched.update_batch(
-            [state for state, _, _, _ in args],
-            [mode for _, mode, _, _ in args],
-            [reward for _, _, reward, _ in args],
-            [alpha for _, _, _, alpha in args],
-        )
-        assert batched.to_dict() == table.to_dict()
-
-    def test_update_batch_validates_inputs(self):
-        table = QTable()
-        # Mismatched sequence lengths.
-        with pytest.raises(PolicyError):
-            table.update_batch([0, 1], [CoherenceMode.COH_DMA], [1.0], [0.5])
-        # Out-of-range learning rate.
-        with pytest.raises(PolicyError):
-            table.update_batch([0], [CoherenceMode.COH_DMA], [1.0], [1.5])
-
-    def test_rejected_batch_leaves_the_table_unchanged(self):
-        # The whole batch is checked before any of it is applied: a bad
-        # state or learning rate late in the batch must not leave the
-        # earlier updates behind.
-        table = QTable()
-        before = table.to_dict()
-        modes = [CoherenceMode.COH_DMA] * 2
-        with pytest.raises(PolicyError, match="out of range"):
-            table.update_batch([0, 999], modes, [1.0, 1.0], [0.5, 0.5])
-        with pytest.raises(PolicyError, match="learning rate"):
-            table.update_batch([0, 1], modes, [1.0, 1.0], [0.5, 1.5])
-        assert table.to_dict() == before
-
     @pytest.mark.parametrize("poison", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_reward_is_rejected(self, poison):
         table = QTable()
@@ -273,9 +239,6 @@ class TestQTable:
         before = table.to_dict()
         with pytest.raises(PolicyError, match="reward must be finite"):
             table.update(STATE0, CoherenceMode.COH_DMA, poison, 0.5)
-        modes = [CoherenceMode.COH_DMA] * 2
-        with pytest.raises(PolicyError, match="reward must be finite"):
-            table.update_batch([0, 1], modes, [1.0, poison], [0.5, 0.5])
         assert table.to_dict() == before
 
     def test_deep_copy_shares_no_row(self):
@@ -344,16 +307,6 @@ class TestQTableOracle:
     def test_updates_follow_the_recurrence(self, episode):
         table, produced = _trained(episode)
         assert (table.to_dict(), produced) == _oracle(episode)
-
-    @given(episode=episode_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_update_batch_follows_the_recurrence(self, episode):
-        table = QTable()
-        states, mode_indices, rewards, alphas = map(list, zip(*episode))
-        table.update_batch(
-            states, [COHERENCE_MODES[a] for a in mode_indices], rewards, alphas
-        )
-        assert table.to_dict() == _oracle(episode)[0]
 
     @given(episode=episode_strategy, seed=st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)

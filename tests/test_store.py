@@ -1,11 +1,11 @@
-"""Tests of :mod:`repro.store` — the unified on-disk document read side.
+"""Tests of :mod:`repro.store` — the on-disk document read side.
 
 One reader per format, one error taxonomy (:class:`DocumentError`), one
 implementation of the manifest crash-tolerance rule.  The regression
 spine here is the truncated-final-line case: a sweep killed mid-append
-must leave a manifest that still loads — through the store reader *and*
-through every legacy entry point that now delegates to it
-(``SweepManifest.load``, ``merge-shards`` discovery).
+must leave a manifest that still loads — through
+``ManifestDocument.load`` *and* through the writer's subclass that
+inherits it (``SweepManifest.load``, ``merge-shards`` discovery).
 """
 
 from __future__ import annotations
@@ -15,28 +15,21 @@ import json
 
 import pytest
 
-from serving_harness import make_artifact
-
 from repro.errors import (
     ConfigurationError,
     DocumentError,
     ModelError,
     ReproError,
-    SweepError,
 )
 from repro.experiments.sweep.manifest import SweepManifest
 from repro.perf.report import load_report
 from repro.store import (
-    CacheEntry,
+    ManifestDocument,
     canonical_digest,
     canonical_text,
     decode_jsonl_line,
     document_sha256,
     load_bench_report,
-    load_cache_entry,
-    load_model_artifact,
-    load_sweep_manifest,
-    load_transfer_matrix,
     read_document,
 )
 from repro.utils.host import host_metadata
@@ -114,7 +107,7 @@ class TestManifestReader:
 
     def test_loads_header_and_results(self, tmp_path):
         path = write_manifest(tmp_path / "m.manifest.jsonl", jobs=3, results=2)
-        document = load_sweep_manifest(path)
+        document = ManifestDocument.load(path)
         assert document.spec_name == "quick"
         assert document.completed == {"fp-0": "digest-0", "fp-1": "digest-1"}
         assert document.recorded_grid_digest == "recorded"
@@ -128,13 +121,13 @@ class TestManifestReader:
             results=1,
             trailing='{"kind": "result", "fingerprint": "fp-1", "dig',
         )
-        document = load_sweep_manifest(path)
+        document = ManifestDocument.load(path)
         # The truncated record is dropped; everything before it survives.
         assert document.completed == {"fp-0": "digest-0"}
         assert document.progress()["pending"] == 1
 
     def test_legacy_entry_point_shares_the_rule(self, tmp_path):
-        """``SweepManifest.load`` reads through the same store reader."""
+        """``SweepManifest.load`` is the store reader, inherited."""
         path = write_manifest(
             tmp_path / "m.manifest.jsonl",
             jobs=2,
@@ -167,42 +160,10 @@ class TestManifestReader:
         path = tmp_path / "m.manifest.jsonl"
         breakage(path)
         with pytest.raises(DocumentError, match=match):
-            load_sweep_manifest(path)
-        # ...and the legacy entry point maps them to the sweep domain
-        # with the identical message.
-        with pytest.raises(SweepError, match=match):
+            ManifestDocument.load(path)
+        # ...and the writer's subclass raises the identical error.
+        with pytest.raises(DocumentError, match=match):
             SweepManifest.load(path)
-
-
-# ----------------------------------------------------------------------
-# Result-cache entries
-# ----------------------------------------------------------------------
-class TestCacheEntryReader:
-    """The strict (accounting) reader over ResultCache entry files."""
-
-    def test_round_trip_and_recomputed_digest(self, tmp_path):
-        payload = {"metric": 1.5}
-        entry_doc = {"fingerprint": "f" * 8, "key": "job-a", "payload": payload}
-        path = tmp_path / f"{'f' * 8}.json"
-        path.write_text(json.dumps(entry_doc))
-        entry = load_cache_entry(path)
-        assert isinstance(entry, CacheEntry)
-        assert entry.key == "job-a"
-        assert entry.digest == canonical_digest(payload)
-
-    def test_fingerprint_filename_mismatch(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(
-            json.dumps({"fingerprint": "f" * 8, "key": "a", "payload": {}})
-        )
-        with pytest.raises(DocumentError, match="does not match its filename"):
-            load_cache_entry(path)
-
-    def test_missing_payload_is_malformed(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text(json.dumps({"fingerprint": "x"}))
-        with pytest.raises(DocumentError, match="no payload object"):
-            load_cache_entry(path)
 
 
 # ----------------------------------------------------------------------
@@ -235,49 +196,14 @@ class TestBenchReader:
 
 
 # ----------------------------------------------------------------------
-# Model artifacts and transfer matrices
+# The error taxonomy
 # ----------------------------------------------------------------------
 class TestArtifactAndMatrixReaders:
-    """The digest-gated artifact reader and the first matrix reader."""
+    """Model artifacts are read by ``repro.models``, under the same base."""
 
     def test_model_error_is_a_document_error(self):
         assert issubclass(ModelError, DocumentError)
         assert issubclass(DocumentError, ReproError)
-
-    def test_load_model_artifact_verifies_digest(self, tmp_path):
-        artifact = make_artifact(name="toy")
-        path = artifact.save(tmp_path / "toy.json")
-        assert load_model_artifact(path).digest == artifact.digest
-        tampered = json.loads(path.read_text())
-        tampered["payload"]["provenance"]["seed"] = 424242
-        path.write_text(json.dumps(tampered))
-        with pytest.raises(DocumentError, match="digest"):
-            load_model_artifact(path)
-
-    def test_load_transfer_matrix_validates_format(self, tmp_path):
-        good = tmp_path / "matrix.json"
-        good.write_text(
-            json.dumps(
-                {
-                    "format": "cohmeleon-transfer-matrix",
-                    "version": 1,
-                    "cells": [],
-                }
-            )
-        )
-        assert load_transfer_matrix(good)["cells"] == []
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"format": "other", "version": 1}))
-        with pytest.raises(DocumentError, match="not a transfer matrix"):
-            load_transfer_matrix(bad)
-        old = tmp_path / "old.json"
-        old.write_text(
-            json.dumps(
-                {"format": "cohmeleon-transfer-matrix", "version": 99, "cells": []}
-            )
-        )
-        with pytest.raises(DocumentError, match="version 99"):
-            load_transfer_matrix(old)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from repro.experiments.sweep import (
 )
 from repro.experiments.sweep.cli import main as cli_main
 from repro.experiments.sweep.merge import fused_results
-from repro.experiments.sweep.shard import ownership, partition
 from repro.utils.rng import SeededRNG
 
 
@@ -88,14 +88,13 @@ class TestPartitionProperties:
             for i, (a, tag) in enumerate(values)
         ]
         shards = [ShardSpec(index, count) for index in range(1, count + 1)]
-        for job in jobs:
-            owners = [shard.index for shard in shards if shard.owns(job.fingerprint())]
-            assert len(owners) == 1  # exactly one shard owns every job
-        by_shard = partition(jobs, count)
-        assert sum(len(shard) for shard in by_shard) == len(jobs)
-        assert {job.key for shard in by_shard for job in shard} == {
-            job.key for job in jobs
-        }
+        by_shard = [
+            [job.key for job in jobs if shard.owns(job.fingerprint())]
+            for shard in shards
+        ]
+        # Disjoint: no job is in two shards; complete: every job is in one.
+        assert sum(len(keys) for keys in by_shard) == len(jobs)
+        assert {key for keys in by_shard for key in keys} == {job.key for job in jobs}
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -110,19 +109,17 @@ class TestPartitionProperties:
         ]
         shuffled = list(jobs)
         SeededRNG(shuffle_seed).shuffle(shuffled)
-        assert ownership(jobs, count) == ownership(shuffled, count)
+        shards = [ShardSpec(index, count) for index in range(1, count + 1)]
 
-    @settings(max_examples=30, deadline=None)
-    @given(values=_grids, count=st.integers(min_value=1, max_value=7))
-    def test_ownership_matches_shardspec(self, values, count):
-        jobs = [
-            Job(key=f"k{i}", fn=_mul_job, params={"a": a, "b": 2, "tag": tag}, seed=1)
-            for i, (a, tag) in enumerate(values)
-        ]
-        owners = ownership(jobs, count)
-        for job in jobs:
-            index = owners[job.fingerprint()]
-            assert ShardSpec(index, count).owns(job.fingerprint())
+        def owners(grid):
+            # Fresh jobs, fingerprinted in one rendering pass over the grid.
+            fresh = SweepSpec(name="grid", jobs=[replace(job) for job in grid])
+            return {
+                job.key: [shard.index for shard in shards if shard.owns(fingerprint)]
+                for job, fingerprint in zip(grid, fresh.fingerprints())
+            }
+
+        assert owners(jobs) == owners(shuffled)
 
 
 class TestShardedRunner:
